@@ -1,16 +1,22 @@
 """Spectral queries on Hermitian lattice operators.
 
-Two query styles:
+Two query styles, both answered by one certified path above a small size
+crossover (DENSE_CUTOFF rows) and by dense LAPACK at or below it:
 
-* eigs_lowest  -- k smallest eigenvalues; dense LAPACK below the size
-  crossover, thick-restart Lanczos with full reorthogonalization above it,
-* eigs_window  -- every eigenvalue in an interval; dense filtering below the
-  crossover, inertia-guided spectrum slicing with shift-invert Lanczos above.
+* eigs_lowest  -- k smallest eigenvalues.  A Gershgorin lower bound, where
+  the inertia count is 0, and an upper shift widened and then bisected by
+  inertia counts bracket a window holding at least k eigenvalues; the window
+  is solved as below and its lowest k are kept.
+* eigs_window  -- every eigenvalue in an interval.  Inertia counts at the
+  edges fix the census, inertia bisection splits it into slices, and
+  shift-invert Lanczos recovers the pairs of each slice.
 
-Window completeness is certified by eigenvalue counts obtained from the
-inertia of shifted operators (symmetric-pivot sparse factorization).  When no
-symmetric factorization succeeds, results are returned with
-certified=False rather than silently trusted.
+Completeness is certified by eigenvalue counts obtained from the inertia of
+shifted operators (symmetric-pivot sparse factorization): the recovered
+pieces must add up to the census.  When no symmetric factorization succeeds,
+or the counts are inconsistent, results are returned with certified=False and
+the reason in info.message rather than silently trusted.  Dense LAPACK stays
+available as the explicit oracle (method="dense").
 
 Every reported pair carries an explicitly computed residual
 || H v - lambda v || / || v ||, accumulated with compensated summation.
@@ -26,9 +32,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-DENSE_CUTOFF = 6000
+# Rows at or below which "auto" answers with dense LAPACK.  Measured on 2-D
+# lattice operators with one BLAS thread: dense is faster for windows below
+# n ~ 170 and for lowest-1/lowest-10 below n ~ 230-250; above n ~ 250 the
+# sliced path wins both, by 3x at n = 470 and 10x or more from n = 840 on.
+DENSE_CUTOFF = 250
 _SLICE_MAX = 110          # eigenvalues per shift-invert slice
 _BREAKDOWN = 1e-13
+_BISECT_STEPS = 60        # halvings of the lowest-k bracket before settling
 
 
 @dataclass
@@ -96,6 +107,13 @@ def _residuals(op, values, vectors):
 
 def _operator_scale(mat):
     return float(np.max(np.abs(mat.diagonal()))) or 1.0
+
+
+def _gershgorin_bounds(mat):
+    """(lo, hi) with every eigenvalue of the Hermitian mat in [lo, hi]."""
+    diag = mat.diagonal()
+    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
+    return float(np.min(diag.real - radius)), float(np.max(diag.real + radius))
 
 
 def inertia_count(op, s, _scale=None, direction=1.0):
@@ -169,7 +187,8 @@ class _Krylov:
 
     Full reorthogonalization (two classical Gram-Schmidt passes against the
     entire basis) keeps the projection exact, which is what stops ghost
-    copies inside near-degenerate Landau clusters.
+    copies inside near-degenerate Landau clusters.  Projections are formed
+    as (w^H Q)^H, which reads the basis in place; Q^H w would copy it.
     """
 
     def __init__(self, n, m_max, rng):
@@ -193,8 +212,9 @@ class _Krylov:
     def seed_vector(self, v=None):
         v = self._random_unit() if v is None else v / np.linalg.norm(v)
         if self.m > 0:
+            Q = self.Q[:, :self.m]
             for _ in range(2):
-                v = v - self.Q[:, :self.m] @ (self.Q[:, :self.m].conj().T @ v)
+                v = v - Q @ (v.conj() @ Q).conj()
             nv = np.linalg.norm(v)
             if nv < _BREAKDOWN:
                 return False
@@ -206,11 +226,12 @@ class _Krylov:
     def extend(self, apply_op):
         """One Lanczos step from the last basis vector; returns beta."""
         m = self.m
+        Q = self.Q[:, :m]
         w = apply_op(self.Q[:, m - 1])
         c_total = np.zeros(m, dtype=complex)
         for _ in range(2):
-            c = self.Q[:, :m].conj().T @ w
-            w = w - self.Q[:, :m] @ c
+            c = (w.conj() @ Q).conj()
+            w = w - Q @ c
             c_total += c
         self.P[:m, m - 1] = c_total
         self.P[m - 1, :m] = np.conj(c_total)
@@ -235,7 +256,7 @@ class _Krylov:
     def ritz_vectors(self, y):
         return self.Q[:, :y.shape[0]] @ y
 
-    def restart(self, y_keep, theta_keep, tail=None):
+    def restart(self, y_keep, theta_keep, tail):
         """Collapse the basis onto chosen Ritz vectors plus a continuation."""
         nk = y_keep.shape[1]
         V = self.Q[:, :y_keep.shape[0]] @ y_keep
@@ -243,118 +264,10 @@ class _Krylov:
         self.P[:] = 0.0
         self.P[:nk, :nk] = np.diag(theta_keep)
         self.m = nk
-        if tail is not None:
-            return self.seed_vector(tail)
-        return True
+        return self.seed_vector(tail)
 
 
-def _lanczos_smallest(op, k, tol, seed, max_basis, max_restarts, return_vectors):
-    n = op.n
-    mat = op.mat
-    rng = np.random.default_rng(seed)
-    scale = _operator_scale(mat)
-    m_max = int(min(n, max(max_basis, k + 16)))
-    kry = _Krylov(n, m_max, rng)
-    kry.seed_vector()
-    apply_op = lambda x: mat @ x
-    matvecs = 0
-    best = None
-    last_vals = None
-    stall = 0
-    for cycle in range(max_restarts):
-        while kry.me < m_max:
-            if kry.extend(apply_op) is None:
-                break
-            matvecs += 1
-        theta, y = kry.ritz()
-        kk = min(k, len(theta))
-        vecs = kry.ritz_vectors(y[:, :kk])
-        vals = theta[:kk]
-        res = _residuals(op, vals, vecs)
-        best = (vals, res, vecs)
-        keep = min(max(k + 8, int(1.4 * k)), max(1, kry.me - 8))
-        keep = max(keep, kk)
-        if kk == k and np.all(res <= tol):
-            # residuals certify each pair individually; an inertia census just
-            # above the last value certifies that no copy of a degenerate
-            # level was silently skipped (a single Krylov sequence sees only
-            # one direction per exact multiplet)
-            delta = max(10.0 * tol, 1e-9 * scale)
-            census = inertia_count(op, float(vals[-1]) + delta, _scale=scale)
-            note = ""
-            done = True
-            certified = True
-            if census is None:
-                certified = False
-                note = ", count uncertified (factorization infeasible)"
-            elif census < k:
-                certified = False
-                note = f", count uncertified (census {census} below k)"
-            elif census > k:
-                done = False
-                if last_vals is not None and len(last_vals) == k \
-                        and np.allclose(vals, last_vals, atol=delta):
-                    stall += 1
-                else:
-                    stall = 0
-                last_vals = vals.copy()
-                if stall >= 2:
-                    # stable answer, census still higher: the next level sits
-                    # within delta of the last kept one, which no amount of
-                    # iteration can disambiguate
-                    done = True
-                    certified = False
-                    note = f", census {census} ambiguous at the set edge"
-            if done:
-                info = SolverInfo("lanczos", matvecs, tol, True,
-                                  f"{cycle + 1} cycles, basis {m_max}{note}")
-                return SpectrumResult(vals, res, info,
-                                      vecs if return_vectors else None,
-                                      dict(op.meta), certified=certified)
-            # a copy is hiding inside a multiplet: collapse onto the kept
-            # Ritz vectors and continue from fresh noise, which has weight
-            # in the unexplored part of the eigenspace
-            kry.restart(y[:, :keep], theta[:keep], tail=None)
-            if not kry.seed_vector():
-                break
-            continue
-        tail = kry.Q[:, kry.m - 1].copy()
-        kry.restart(y[:, :keep], theta[:keep], tail=tail)
-    vals, res, vecs = best
-    if len(vals) == k and np.all(res <= tol):
-        info = SolverInfo("lanczos", matvecs, tol, True,
-                          "basis exhausted; census ambiguous at the set edge")
-        return SpectrumResult(vals, res, info, vecs if return_vectors else None,
-                              dict(op.meta), certified=False)
-    info = SolverInfo("lanczos", matvecs, tol, False,
-                      f"stopped after {max_restarts} restart cycles")
-    partial = SpectrumResult(vals, res, info, vecs if return_vectors else None,
-                             dict(op.meta), certified=False)
-    raise NonConvergence(
-        f"lowest-{k} Lanczos did not reach tol={tol} in {max_restarts} cycles "
-        f"(worst residual {res.max():.2e})", partial)
-
-
-def eigs_lowest(op, k, tol=1e-8, seed=0, method="auto", return_vectors=True,
-                max_basis=420, max_restarts=40, dense_cutoff=DENSE_CUTOFF):
-    """k smallest eigenvalues with residual certificates.
-
-    method "auto" picks dense LAPACK for n <= dense_cutoff and restarted
-    Lanczos (full reorthogonalization, seeded random start) above.  On
-    non-convergence raises NonConvergence carrying the partial result.
-    """
-    if k < 1 or k > op.n:
-        raise ValueError(f"k must be in 1..{op.n}, got {k}")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if op.n <= dense_cutoff else "lanczos"
-    if method == "dense":
-        return _dense_lowest(op, k, tol, return_vectors)
-    return _lanczos_smallest(op, k, tol, seed, max_basis, max_restarts, return_vectors)
-
-
-# ── Shift-invert window slices ─────────────────────────────────────────────
+# ── Shift-invert slices ────────────────────────────────────────────────────
 
 
 def _make_inner_solver(mat, sigma, mode, tol):
@@ -387,11 +300,17 @@ def _make_inner_solver(mat, sigma, mode, tol):
     return solve
 
 
+def _empty_pairs(n):
+    return np.empty(0), np.empty(0), np.empty((n, 0), complex)
+
+
 def _slice_eigs(op, p, q, m_expect, tol, rng, inner, max_restarts=80,
                 exact=True):
     """All m_expect eigenvalues in [p, q) by shift-invert Lanczos.
 
-    Returns (values, residuals, vectors, matvecs) or raises NonConvergence.
+    Returns (values, residuals, vectors, matvecs, converged).  When the
+    restarts run out, converged is False and the best m_expect candidates of
+    the last cycle (smallest residuals) are returned instead.
     Near-degenerate clusters inside the slice are magnified by the spectral
     map 1/(lambda - sigma), so locking plus restarts recovers every copy.
     Membership in the half-open slice [p, q) is decided with a small guard
@@ -410,6 +329,7 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, inner, max_restarts=80,
     kry = _Krylov(n, m_max, rng)
     kry.seed_vector()
     matvecs = 0
+    best = _empty_pairs(n)
     for cycle in range(max_restarts):
         while kry.me < m_max:
             if kry.extend(solve) is None:
@@ -433,7 +353,8 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, inner, max_restarts=80,
                     good = good[order[:m_expect]]
                 order = np.argsort(vals[good])
                 sel = good[order]
-                return vals[sel], res[sel], vecs[:, sel], matvecs
+                return vals[sel], res[sel], vecs[:, sel], matvecs, True
+            best = (vals, res, vecs)
         # restart on the most relevant Ritz vectors: largest |theta| maps
         # closest to sigma, so the slice interior is kept preferentially
         order = np.argsort(-np.abs(theta))
@@ -441,9 +362,83 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, inner, max_restarts=80,
         sel = order[:keep]
         tail = kry.Q[:, kry.m - 1].copy()
         kry.restart(y[:, sel], theta[sel], tail=tail)
-    raise NonConvergence(
-        f"slice [{p}, {q}] (sigma={sigma:.6g}): expected {m_expect} eigenvalues, "
-        f"not all converged in {max_restarts} cycles", None)
+    vals, res, vecs = best
+    sel = np.argsort(res, kind="stable")[:m_expect]
+    sel = sel[np.argsort(vals[sel])]
+    return vals[sel], res[sel], vecs[:, sel], matvecs, False
+
+
+def _sliced(op, a, b, na, nb, tol, rng, inner, scale):
+    """The nb - na eigenvalues in [a, b), given the inertia counts na at a and
+    nb at b: inertia bisection down to slices of at most _SLICE_MAX, then
+    shift-invert Lanczos per slice.
+
+    Returns (values, residuals, vectors, matvecs, problem, converged), sorted
+    by value.  problem is "" when the census is proven: every bisection count
+    lies between the counts of its sub-window's ends and the recovered pieces
+    add up to nb - na.  Otherwise it names what failed.  converged is False
+    when a slice ran out of restarts; the pairs are then those found so far.
+    """
+    floor = 1e-10 * scale           # narrower sub-windows are not split
+    pieces = []
+    problems = []
+    matvecs = 0
+    converged = True
+    stack = [(a, b, na, nb)]
+    while stack and converged:
+        p, q, np_, nq = stack.pop()
+        m = nq - np_
+        if m == 0:
+            continue
+        if m <= _SLICE_MAX or q - p <= floor:
+            vals, res, vecs, mv, converged = _slice_eigs(op, p, q, m, tol, rng,
+                                                         inner)
+            matvecs += mv
+            pieces.append((vals, res, vecs))
+            continue
+        mid = 0.5 * (p + q)
+        nm = inertia_count(op, mid, _scale=scale)
+        if nm is None:
+            # fall back to a generic interior point
+            mid = p + 0.61803 * (q - p)
+            nm = inertia_count(op, mid, _scale=scale)
+        if nm is None:
+            problems.append(f"inertia infeasible inside [{p}, {q}]")
+            continue
+        if not np_ <= nm <= nq:
+            problems.append(f"non-monotone inertia counts {np_}, {nm}, {nq} "
+                            f"at {p}, {mid}, {q}")
+            continue
+        stack.append((p, mid, np_, nm))
+        stack.append((mid, q, nm, nq))
+    if pieces:
+        vals = np.concatenate([x[0] for x in pieces])
+        res = np.concatenate([x[1] for x in pieces])
+        vecs = np.concatenate([x[2] for x in pieces], axis=1)
+    else:
+        vals, res, vecs = _empty_pairs(op.n)
+    order = np.argsort(vals, kind="stable")
+    if converged and len(vals) != nb - na:
+        problems.append(f"recovered {len(vals)} eigenvalues, census {nb - na}")
+    return (vals[order], res[order], vecs[:, order], matvecs,
+            "; ".join(problems), converged)
+
+
+def _sliced_result(op, found, tol, return_vectors, claim, window=None):
+    """SpectrumResult from the output of _sliced, certified when the census
+    claim held; raises NonConvergence carrying it when a slice did not
+    converge."""
+    vals, res, vecs, matvecs, problem, converged = found
+    message = f"{claim} not reached: {problem}" if problem else claim
+    info = SolverInfo("lanczos", matvecs, tol, converged, message)
+    result = SpectrumResult(vals, res, info, vecs if return_vectors else None,
+                            dict(op.meta), certified=converged and not problem,
+                            window=window)
+    if not converged:
+        raise NonConvergence(
+            f"{claim}: not every slice reached tol={tol} "
+            f"(worst residual {np.max(res, initial=0.0):.2e})", result)
+    return result
 
 
 def _window_sliced(op, a, b, tol, cap, seed, return_vectors, inner):
@@ -453,74 +448,105 @@ def _window_sliced(op, a, b, tol, cap, seed, return_vectors, inner):
     b_plus = np.nextafter(b, np.inf)
     na = inertia_count(op, a, _scale=scale, direction=-1.0)
     nb = inertia_count(op, b_plus, _scale=scale, direction=1.0)
-    if na is None or nb is None:
+    if na is None or nb is None or nb < na:
         # no certificate available: single uncertified sweep at the middle
-        try:
-            vals, res, vecs, mv = _slice_eigs(op, a, b_plus, 1, tol, rng, inner,
-                                              exact=False)
-        except NonConvergence:
-            vals = np.empty(0)
-            res = np.empty(0)
-            vecs = np.empty((op.n, 0), complex)
-            mv = 0
-        info = SolverInfo("lanczos", mv, tol, True,
-                          "inertia factorization infeasible; counts uncertified")
+        vals, res, vecs, mv, _ = _slice_eigs(op, a, b_plus, 1, tol, rng, inner,
+                                             exact=False)
+        ok = res <= tol
+        vals, res, vecs = vals[ok], res[ok], vecs[:, ok]
+        why = ("inertia factorization infeasible" if na is None or nb is None
+               else f"non-monotone inertia counts {na}, {nb} at the edges")
+        info = SolverInfo("lanczos", mv, tol, True, f"{why}; counts uncertified")
         return SpectrumResult(vals, res, info, vecs if return_vectors else None,
                               dict(op.meta), certified=False, window=(a, b))
     m_w = nb - na
     if m_w > cap:
         raise WindowOverflow(
             f"window [{a}, {b}] holds {m_w} eigenvalues, cap is {cap}", m_w)
-    total_mv = 0
-    pieces = []
-    stack = [(a, b_plus, na, nb)]
-    while stack:
-        p, q, np_, nq = stack.pop()
-        m = nq - np_
-        if m == 0:
-            continue
-        if m <= _SLICE_MAX:
-            vals, res, vecs, mv = _slice_eigs(op, p, q, m, tol, rng, inner)
-            total_mv += mv
-            pieces.append((vals[:], res, vecs))
-            continue
-        mid = 0.5 * (p + q)
+    found = _sliced(op, a, b_plus, na, nb, tol, rng, inner, scale)
+    return _sliced_result(op, found, tol, return_vectors,
+                          f"window [{a}, {b}]: shift-invert slices ({inner} "
+                          f"inner solves), inertia-certified count {m_w}",
+                          window=(a, b))
+
+
+def _lowest_sliced(op, k, tol, seed, return_vectors):
+    """Lowest k: bracket them by inertia counts, then solve the bracket.
+
+    Nothing lies below the Gershgorin bound lo.  An upper shift s is widened
+    geometrically until at least k eigenvalues lie below it, then bisected
+    down until the census is small.  Every eigenvalue in [lo, s) is found by
+    the window machinery, so the lowest k of them are the lowest k of op.
+    """
+    n = op.n
+    rng = np.random.default_rng(seed)
+    scale = _operator_scale(op.mat)
+    lo, hi = _gershgorin_bounds(op.mat)
+    # above hi every eigenvalue is below the shift, with no factorization
+    top = np.nextafter(hi, np.inf)
+    target = max(2 * k, k + 16)
+    below = lo                      # a shift with fewer than k below it
+    width = max((hi - lo) * k / n, 1e-8 * scale)
+    while True:
+        s = lo + width
+        if s >= top:
+            s, ns = top, n
+            break
+        ns = inertia_count(op, s, _scale=scale)
+        if ns is not None and ns >= k:
+            break
+        if ns is not None:
+            below = s
+        width *= 2.0
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (below + s)
+        if ns <= target or not below < mid < s:
+            break
         nm = inertia_count(op, mid, _scale=scale)
         if nm is None:
-            # fall back to a generic interior point
-            mid = p + 0.61803 * (q - p)
-            nm = inertia_count(op, mid, _scale=scale)
-        if nm is None:
-            raise NonConvergence(
-                f"cannot certify sub-window [{p}, {q}]: inertia infeasible", None)
-        stack.append((p, mid, np_, nm))
-        stack.append((mid, q, nm, nq))
-    if pieces:
-        vals = np.concatenate([x[0] for x in pieces])
-        res = np.concatenate([x[1] for x in pieces])
-        vecs = np.concatenate([x[2] for x in pieces], axis=1)
-    else:
-        vals = np.empty(0)
-        res = np.empty(0)
-        vecs = np.empty((op.n, 0), complex)
-    order = np.argsort(vals, kind="stable")
-    vals, res, vecs = vals[order], res[order], vecs[:, order]
-    # keep exactly the certified census inside [a, b]
-    info = SolverInfo("lanczos", total_mv, tol, True,
-                      f"shift-invert slices ({inner} inner solves), "
-                      f"inertia-certified count {m_w}")
-    return SpectrumResult(vals, res, info, vecs if return_vectors else None,
-                          dict(op.meta), certified=True, window=(a, b))
+            break
+        if nm >= k:
+            s, ns = mid, nm
+        else:
+            below = mid
+    vals, res, vecs, *rest = _sliced(op, lo, s, 0, ns, tol, rng, "direct",
+                                     scale)
+    return _sliced_result(op, (vals[:k], res[:k], vecs[:, :k], *rest), tol,
+                          return_vectors,
+                          f"lowest-{k}: shift-invert slices below {s:.6g}, "
+                          f"inertia-certified count {ns}")
+
+
+def eigs_lowest(op, k, tol=1e-8, seed=0, method="auto", return_vectors=True):
+    """k smallest eigenvalues with residual certificates.
+
+    method "auto" picks dense LAPACK for n <= DENSE_CUTOFF and the
+    inertia-bracketed shift-invert Lanczos path ("lanczos") above.  The
+    sliced result is certified when the pieces add up to the inertia census
+    of the bracket; otherwise certified is False and info.message says why.
+    On non-convergence raises NonConvergence carrying the partial result.
+    """
+    if k < 1 or k > op.n:
+        raise ValueError(f"k must be in 1..{op.n}, got {k}")
+    if method not in ("auto", "dense", "lanczos"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "auto":
+        method = "dense" if op.n <= DENSE_CUTOFF else "lanczos"
+    if method == "dense":
+        return _dense_lowest(op, k, tol, return_vectors)
+    return _lowest_sliced(op, k, tol, seed, return_vectors)
 
 
 def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="auto",
-                return_vectors=False, inner="direct", dense_cutoff=DENSE_CUTOFF):
+                return_vectors=False, inner="direct"):
     """Every eigenvalue in [a, b], with certified completeness when possible.
 
-    Below the size crossover the window is filtered from a dense solve; above
-    it, inertia counts of H - aI and H - bI fix the census and shift-invert
-    Lanczos slices recover the pairs.  Raises WindowOverflow when the census
-    exceeds cap.  result.certified reports whether the census was proven.
+    At or below DENSE_CUTOFF rows the window is filtered from a dense solve;
+    above it, inertia counts of H - aI and H - bI fix the census and
+    shift-invert Lanczos slices recover the pairs.  Raises WindowOverflow
+    when the census exceeds cap, and NonConvergence carrying the partial
+    result when a slice does not converge.  result.certified reports whether
+    the census was proven; when it was not, info.message says why.
     """
     if not b >= a:
         raise ValueError(f"empty window: [{a}, {b}]")
@@ -529,7 +555,7 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="auto",
     if method not in ("auto", "dense", "sliced"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "dense" if op.n <= dense_cutoff else "sliced"
+        method = "dense" if op.n <= DENSE_CUTOFF else "sliced"
     if method == "dense":
         return _dense_window(op, a, b, tol, cap, return_vectors)
     return _window_sliced(op, a, b, tol, cap, seed, return_vectors, inner)

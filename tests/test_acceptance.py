@@ -301,7 +301,7 @@ def test_criterion_8_solver_agreement():
     dt = time.perf_counter() - t0
     ok = (diff <= 1e-8 and res_ok and l.certified and counts_match
           and wdiff <= 1e-8 and dt < 120.0)
-    _record(8, ok, f"dense vs restarted-Krylov max diff {diff:.2e} (tol 1e-8), "
+    _record(8, ok, f"dense vs shift-invert Lanczos max diff {diff:.2e} (tol 1e-8), "
                    f"residuals ok {res_ok}, window count {w_s.k} == dense "
                    f"filter {n_filter} (values within {wdiff:.2e}), "
                    f"{dt:.1f}s (budget 120s)")

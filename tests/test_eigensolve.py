@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from magspec import eigensolve
 from magspec.assembly import HermitianOperator, assemble
 from magspec.eigensolve import (NonConvergence, WindowOverflow, eigs_lowest,
                                 eigs_window, inertia_count, residual)
 from magspec.fields import FieldSpec, link_phases
-from magspec.geometry import DiskObstacle, DomainSpec, build_grid
+from magspec.geometry import BoxObstacle, DiskObstacle, DomainSpec, build_grid
 
 
 def _chain(n, h=1.0):
@@ -119,8 +121,7 @@ def test_lowest_validation():
 def test_nonconvergence_carries_partial():
     op = _lattice_op(h=0.3)
     with pytest.raises(NonConvergence) as exc:
-        eigs_lowest(op, 5, tol=0.0, method="lanczos", max_basis=24,
-                    max_restarts=2)
+        eigs_lowest(op, 5, tol=0.0, method="lanczos")
     part = exc.value.partial
     assert part is not None and not part.certified
     assert len(part.eigenvalues) == 5
@@ -223,3 +224,150 @@ def test_empty_window():
     assert res.k == 0
     res2 = eigs_window(op, 1.0, 2.0, method="sliced")
     assert res2.k == 0 and res2.certified
+
+
+# ── Differential checks against the dense oracle ───────────────────────────
+
+_ORACLE = settings(max_examples=15, deadline=None, derandomize=True,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _problems(draw):
+    shape = draw(st.sampled_from(["disk", "box"]))
+    R = draw(st.floats(2.0, 2.8))
+    if draw(st.booleans()):
+        obstacle = DiskObstacle((0.0, 0.0), draw(st.floats(0.5, 1.0)))
+    else:
+        half = draw(st.floats(0.4, 0.8))
+        obstacle = BoxObstacle((0.0, 0.0), (half, half))
+    if draw(st.booleans()):
+        field = FieldSpec.constant(draw(st.floats(0.0, 2.0)))
+    else:
+        field = FieldSpec.radial_decay(draw(st.floats(0.5, 2.0)),
+                                       draw(st.floats(1.0, 3.0)))
+    gamma = draw(st.floats(-1.0, 1.0))
+    h = draw(st.sampled_from([0.3, 0.35]))
+    g = build_grid(DomainSpec(2, R, shape, obstacle), h)
+    return assemble(g, link_phases(g, field), region="omega", gamma=gamma)
+
+
+def _assert_matches_oracle(got, want, tol):
+    assert got.certified, got.info.message
+    assert got.k == want.k
+    assert np.allclose(got.eigenvalues, want.eigenvalues, atol=1e-8)
+    assert np.all(got.residuals <= tol)
+
+
+@_ORACLE
+@given(op=_problems(), k=st.integers(1, 25))
+def test_lowest_matches_dense_oracle(op, k):
+    want = eigs_lowest(op, k, method="dense", return_vectors=False)
+    got = eigs_lowest(op, k, tol=1e-9, method="lanczos", return_vectors=False)
+    _assert_matches_oracle(got, want, 1e-9)
+    assert got.info.method == "lanczos"
+
+
+@_ORACLE
+@given(op=_problems(), a=st.floats(-2.0, 4.0), width=st.floats(0.0, 4.0))
+def test_window_matches_dense_oracle(op, a, width):
+    want = eigs_window(op, a, a + width, method="dense")
+    got = eigs_window(op, a, a + width, tol=1e-9, method="sliced")
+    _assert_matches_oracle(got, want, 1e-9)
+
+
+def test_auto_routes_above_crossover_to_sliced():
+    op = _lattice_op(h=0.2)
+    assert op.n > eigensolve.DENSE_CUTOFF
+    low = eigs_lowest(op, 6, return_vectors=False)
+    win = eigs_window(op, 0.0, 3.0)
+    assert low.info.method == win.info.method == "lanczos"
+    _assert_matches_oracle(low, eigs_lowest(op, 6, method="dense"), 1e-8)
+    _assert_matches_oracle(win, eigs_window(op, 0.0, 3.0, method="dense"), 1e-8)
+
+
+def test_lowest_multiplet_straddling_k():
+    d = np.concatenate([np.full(6, 2.0), np.linspace(3.0, 9.0, 114)])
+    op = HermitianOperator.from_matrix(sp.diags(d))
+    got = eigs_lowest(op, 4, tol=1e-9, method="lanczos", seed=1)
+    assert got.certified
+    assert np.allclose(got.eigenvalues, 2.0, atol=1e-9)
+
+
+def test_window_edges_on_lattice_eigenvalues():
+    # both edges sit on eigenvalues (to rounding): the closed window keeps
+    # them, where a dense filter may drop either one by an ulp
+    op = _lattice_op(h=0.3)
+    w = np.linalg.eigvalsh(op.dense())
+    for j in (3, 11, 20, 34):
+        got = eigs_window(op, float(w[j]), float(w[j + 7]), tol=1e-9,
+                          method="sliced", seed=j)
+        assert got.certified
+        assert np.allclose(got.eigenvalues, w[j:j + 8], atol=1e-8)
+        assert np.all(got.residuals <= 1e-9)
+
+
+def test_bisection_above_slice_max(monkeypatch):
+    op = _lattice_op(h=0.3)
+    shifts = []
+    true_count = eigensolve.inertia_count
+
+    def counting(op, s, **kwargs):
+        shifts.append(s)
+        return true_count(op, s, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "inertia_count", counting)
+    k = eigensolve._SLICE_MAX + 20
+    want = eigs_lowest(op, k, method="dense", return_vectors=False)
+    got = eigs_lowest(op, k, tol=1e-9, method="lanczos", return_vectors=False)
+    _assert_matches_oracle(got, want, 1e-9)
+    b = float(want.eigenvalues[-1]) + 0.05
+    want = eigs_window(op, 0.0, b, method="dense")
+    assert want.k > eigensolve._SLICE_MAX
+    shifts.clear()
+    got = eigs_window(op, 0.0, b, tol=1e-9, method="sliced")
+    _assert_matches_oracle(got, want, 1e-9)
+    assert len(shifts) > 2          # the edges plus at least one bisection
+
+
+def test_non_monotone_count_is_uncertified(monkeypatch):
+    # a bisection count outside the counts of its sub-window's ends proves
+    # nothing: the census must not be reported as certified
+    d = np.linspace(0.0, 10.0, 300)
+    op = HermitianOperator.from_matrix(sp.diags(d))
+    true_count = eigensolve.inertia_count
+
+    def faulty(op, s, _scale=None, direction=1.0):
+        n = true_count(op, s, _scale=_scale, direction=direction)
+        return n + 500 if 0.0 < s < 8.0 else n
+
+    monkeypatch.setattr(eigensolve, "inertia_count", faulty)
+    res = eigs_window(op, 0.0, 8.0, method="sliced")
+    assert not res.certified
+    assert "non-monotone" in res.info.message
+
+
+def test_recovered_total_checked_against_census(monkeypatch):
+    d = np.linspace(0.0, 10.0, 300)
+    op = HermitianOperator.from_matrix(sp.diags(d))
+    true_slice = eigensolve._slice_eigs
+
+    def lossy(*args, **kwargs):
+        vals, res, vecs, mv, ok = true_slice(*args, **kwargs)
+        return vals[1:], res[1:], vecs[:, 1:], mv, ok
+
+    monkeypatch.setattr(eigensolve, "_slice_eigs", lossy)
+    res = eigs_window(op, 1.0, 3.0, method="sliced")
+    assert not res.certified
+    assert "census" in res.info.message
+    assert not eigs_lowest(op, 5, method="lanczos").certified
+
+
+def test_window_nonconvergence_carries_partial():
+    op = _lattice_op(h=0.3)
+    with pytest.raises(NonConvergence) as exc:
+        eigs_window(op, 0.0, 3.0, tol=0.0, method="sliced")
+    part = exc.value.partial
+    assert part is not None and not part.certified
+    assert not part.info.converged
+    assert part.k > 0 and np.all(np.diff(part.eigenvalues) >= 0)
