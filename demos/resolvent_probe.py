@@ -35,7 +35,7 @@ print(f"shared positivity shift c = {shift:.3f}\n")
 
 # ── Singular values of the resolvent difference ────────────────────────────
 
-print("singular values of (full + c)^-1 - (split + c)^-1")
+print("singular values of (split + c)^-1 - (full + c)^-1")
 for h in (0.25, 0.125):
     sv, _ = resolvent_difference_svd(pieces[h][2], pieces[h][3],
                                      shift=shift, k=10)

@@ -166,7 +166,10 @@ def _dense_lowest(op, k, tol, return_vectors):
 
 def _dense_window(op, a, b, tol, cap, return_vectors):
     w, v = sla.eigh(op.dense())
-    mask = (w >= a) & (w <= b)
+    # an eigenvalue on an edge may come back an ulp outside it; widen by the
+    # step inertia_count nudges by, so both paths keep the closed window
+    pad = 1e-12 * _operator_scale(op.mat)
+    mask = (w >= a - pad) & (w <= b + pad)
     count = int(mask.sum())
     if count > cap:
         raise WindowOverflow(
@@ -270,42 +273,25 @@ class _Krylov:
 # ── Shift-invert slices ────────────────────────────────────────────────────
 
 
-def _make_inner_solver(mat, sigma, mode, tol):
-    """Solver for (H - sigma I) x = b: sparse LU, or MINRES on the real form."""
+def shifted_solver(mat, sigma):
+    """Solver for (H - sigma I) x = b from one sparse LU of H - sigma I.
+
+    The returned function takes b as a vector or as an n x m block of
+    right-hand sides.  The shift-invert slices and the resolvent probes
+    both factorise through here.
+    """
     n = mat.shape[0]
-    shifted = (mat - sigma * sp.identity(n, dtype=complex, format="csc")).tocsc()
-    if mode == "direct":
-        lu = splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                  options=dict(SymmetricMode=True))
-        return lu.solve
-    if mode != "minres":
-        raise ValueError(f"unknown inner solver {mode!r}")
-    from scipy.sparse.linalg import LinearOperator, minres
-
-    # complex Hermitian system recast as real symmetric of twice the size
-    def mv(z):
-        x = z[:n] + 1j * z[n:]
-        y = shifted @ x
-        return np.concatenate([y.real, y.imag])
-
-    big = LinearOperator((2 * n, 2 * n), matvec=mv, dtype=float)
-
-    def solve(b):
-        zb = np.concatenate([b.real, b.imag])
-        # the outer residual floor scales with the conditioning of the
-        # shifted system, so the inner solves get a wide safety margin
-        z, _ = minres(big, zb, rtol=max(tol * 1e-2, 1e-13))
-        return z[:n] + 1j * z[n:]
-
-    return solve
+    shifted = mat.tocsc() - sigma * sp.identity(n, dtype=complex, format="csc")
+    lu = splu(shifted, permc_spec="MMD_AT_PLUS_A",
+              options=dict(SymmetricMode=True))
+    return lu.solve
 
 
 def _empty_pairs(n):
     return np.empty(0), np.empty(0), np.empty((n, 0), complex)
 
 
-def _slice_eigs(op, p, q, m_expect, tol, rng, inner, max_restarts=80,
-                exact=True):
+def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80, exact=True):
     """All m_expect eigenvalues in [p, q) by shift-invert Lanczos.
 
     Returns (values, residuals, vectors, matvecs, converged).  When the
@@ -323,7 +309,7 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, inner, max_restarts=80,
     """
     n = op.n
     sigma = p + 0.5137 * (q - p)        # off-center: dodge symmetric clusters
-    solve = _make_inner_solver(op.mat.tocsc(), sigma, inner, tol / 10.0)
+    solve = shifted_solver(op.mat, sigma)
     pad = max(100.0 * tol, 1e-12 * max(abs(p), abs(q), 1.0))
     m_max = int(min(n, max(2 * m_expect + 30, 60)))
     kry = _Krylov(n, m_max, rng)
@@ -368,7 +354,7 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, inner, max_restarts=80,
     return vals[sel], res[sel], vecs[:, sel], matvecs, False
 
 
-def _sliced(op, a, b, na, nb, tol, rng, inner, scale):
+def _sliced(op, a, b, na, nb, tol, rng, scale):
     """The nb - na eigenvalues in [a, b), given the inertia counts na at a and
     nb at b: inertia bisection down to slices of at most _SLICE_MAX, then
     shift-invert Lanczos per slice.
@@ -391,8 +377,7 @@ def _sliced(op, a, b, na, nb, tol, rng, inner, scale):
         if m == 0:
             continue
         if m <= _SLICE_MAX or q - p <= floor:
-            vals, res, vecs, mv, converged = _slice_eigs(op, p, q, m, tol, rng,
-                                                         inner)
+            vals, res, vecs, mv, converged = _slice_eigs(op, p, q, m, tol, rng)
             matvecs += mv
             pieces.append((vals, res, vecs))
             continue
@@ -441,7 +426,7 @@ def _sliced_result(op, found, tol, return_vectors, claim, window=None):
     return result
 
 
-def _window_sliced(op, a, b, tol, cap, seed, return_vectors, inner):
+def _window_sliced(op, a, b, tol, cap, seed, return_vectors):
     """Certified window query: inertia bisection plus per-slice shift-invert."""
     rng = np.random.default_rng(seed)
     scale = _operator_scale(op.mat)
@@ -450,7 +435,7 @@ def _window_sliced(op, a, b, tol, cap, seed, return_vectors, inner):
     nb = inertia_count(op, b_plus, _scale=scale, direction=1.0)
     if na is None or nb is None or nb < na:
         # no certificate available: single uncertified sweep at the middle
-        vals, res, vecs, mv, _ = _slice_eigs(op, a, b_plus, 1, tol, rng, inner,
+        vals, res, vecs, mv, _ = _slice_eigs(op, a, b_plus, 1, tol, rng,
                                              exact=False)
         ok = res <= tol
         vals, res, vecs = vals[ok], res[ok], vecs[:, ok]
@@ -463,11 +448,10 @@ def _window_sliced(op, a, b, tol, cap, seed, return_vectors, inner):
     if m_w > cap:
         raise WindowOverflow(
             f"window [{a}, {b}] holds {m_w} eigenvalues, cap is {cap}", m_w)
-    found = _sliced(op, a, b_plus, na, nb, tol, rng, inner, scale)
+    found = _sliced(op, a, b_plus, na, nb, tol, rng, scale)
     return _sliced_result(op, found, tol, return_vectors,
-                          f"window [{a}, {b}]: shift-invert slices ({inner} "
-                          f"inner solves), inertia-certified count {m_w}",
-                          window=(a, b))
+                          f"window [{a}, {b}]: shift-invert slices, "
+                          f"inertia-certified count {m_w}", window=(a, b))
 
 
 def _lowest_sliced(op, k, tol, seed, return_vectors):
@@ -509,8 +493,7 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
             s, ns = mid, nm
         else:
             below = mid
-    vals, res, vecs, *rest = _sliced(op, lo, s, 0, ns, tol, rng, "direct",
-                                     scale)
+    vals, res, vecs, *rest = _sliced(op, lo, s, 0, ns, tol, rng, scale)
     return _sliced_result(op, (vals[:k], res[:k], vecs[:, :k], *rest), tol,
                           return_vectors,
                           f"lowest-{k}: shift-invert slices below {s:.6g}, "
@@ -538,7 +521,7 @@ def eigs_lowest(op, k, tol=1e-8, seed=0, method="auto", return_vectors=True):
 
 
 def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="auto",
-                return_vectors=False, inner="direct"):
+                return_vectors=False):
     """Every eigenvalue in [a, b], with certified completeness when possible.
 
     At or below DENSE_CUTOFF rows the window is filtered from a dense solve;
@@ -558,4 +541,4 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="auto",
         method = "dense" if op.n <= DENSE_CUTOFF else "sliced"
     if method == "dense":
         return _dense_window(op, a, b, tol, cap, return_vectors)
-    return _window_sliced(op, a, b, tol, cap, seed, return_vectors, inner)
+    return _window_sliced(op, a, b, tol, cap, seed, return_vectors)

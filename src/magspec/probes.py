@@ -11,6 +11,10 @@ finite-size surrogate of resolvent-difference compactness.  The same
 difference obeys a summation-by-parts identity pairing the Robin flux defect
 of one solve with the jump of the other across the boundary faces; the
 identity closes exactly in the continuum and to O(h) on the lattice.
+
+Both probes run on sparse factorisations: one LU each of H_split + c and
+H_full + c, and solves against them.  No n x n matrix is formed, so the
+probes reach grids as fine as the factorisations do.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .eigensolve import eigs_lowest
+from .eigensolve import eigs_lowest, shifted_solver
 
 
 # ── Shift policy ───────────────────────────────────────────────────────────
@@ -64,28 +68,42 @@ def smooth_random_field(grid, seed, n_bumps=6):
 # ── Resolvent difference ───────────────────────────────────────────────────
 
 
-def resolvent_difference_svd(op_full, op_split, shift=None, k=10, n_max=4000):
-    """Leading singular values of the shifted-inverse difference.
+def resolvent_difference_svd(op_full, op_split, shift=None, k=10):
+    """Leading singular values of V = (H_split + c)^-1 - (H_full + c)^-1.
 
-    Dense inverses, so the probe is limited to n <= n_max.  Returns
-    (singular values, shift used).  Supply shift to reuse one (H1) shift
-    across a refinement pair.
+    V is boundary rank.  With A = H_split + c, B = H_full + c and
+    D = H_full - H_split supported on the node set S,
+
+        V = A^-1 D B^-1 = X D_SS Y^H,   X = A^-1 P_S,  Y = B^-1 P_S
+
+    (B is Hermitian), so two sparse LUs and 2|S| solves give X and Y, and
+    with thin QRs X = Q_X R_X, Y = Q_Y R_Y the singular values of V are
+    those of the |S| x |S| core R_X D_SS R_Y^H.  rank V <= |S|: values past
+    it are exact zeros.  Returns (the min(k, n) leading singular values,
+    shift used).  Supply shift to reuse one (H1) shift across a refinement
+    pair.
     """
-    if op_full.n != op_split.n:
+    if not np.array_equal(op_full.nodes, op_split.nodes):
         raise ValueError("operators act on different node sets")
-    if op_full.n > n_max:
-        raise ValueError(
-            f"n={op_full.n} too large for the dense resolvent probe "
-            f"(limit {n_max})")
     if k < 1:
         raise ValueError("k must be positive")
     c = hermitian_shift(op_full, op_split) if shift is None else float(shift)
     n = op_full.n
-    eye = np.eye(n)
-    inv_split = np.linalg.inv(op_split.dense() + c * eye)
-    inv_full = np.linalg.inv(op_full.dense() + c * eye)
-    sv = sla.svdvals(inv_split - inv_full)
-    return sv[:k], c
+    diff = (op_full.mat - op_split.mat).tocsr()
+    diff.eliminate_zeros()
+    support = np.union1d(*diff.nonzero())
+    m = len(support)
+    sv = np.zeros(min(k, n))
+    if m == 0:
+        return sv, c
+    probe = np.zeros((n, m), dtype=complex)
+    probe[support, np.arange(m)] = 1.0
+    r_x = np.linalg.qr(shifted_solver(op_split.mat, -c)(probe), mode="r")
+    r_y = np.linalg.qr(shifted_solver(op_full.mat, -c)(probe), mode="r")
+    core = r_x @ diff[support][:, support].toarray() @ r_y.conj().T
+    top = sla.svdvals(core)[:len(sv)]
+    sv[:len(top)] = top
+    return sv, c
 
 
 # ── Boundary identity ──────────────────────────────────────────────────────
@@ -139,7 +157,9 @@ def boundary_identity_check(op_full, op_split, grid, phases, gamma,
 
     u solves (H_full + c) u = f and v the split system on g; the weighted
     inner product of Vg with f must match minus the boundary pairing of u
-    and v up to a discretization gap that shrinks linearly in h.
+    and v up to a discretization gap that shrinks linearly in h.  Vg is
+    v - w with w solving (H_full + c) w = g: three solves on one sparse LU
+    each of H_full + c and H_split + c.
     """
     if op_full.n != grid.n_nodes or op_split.n != grid.n_nodes:
         raise ValueError("operators do not match the grid")
@@ -148,13 +168,8 @@ def boundary_identity_check(op_full, op_split, grid, phases, gamma,
     if g is None:
         g = smooth_random_field(grid, seed + 1)
     c = hermitian_shift(op_full, op_split) if shift is None else float(shift)
-    n = grid.n_nodes
-    eye = np.eye(n)
-    full_mat = op_full.dense() + c * eye
-    split_mat = op_split.dense() + c * eye
-    u = np.linalg.solve(full_mat, f)
-    v = np.linalg.solve(split_mat, g)
-    w = np.linalg.solve(full_mat, g)
+    u, w = shifted_solver(op_full.mat, -c)(np.column_stack([f, g])).T
+    v = shifted_solver(op_split.mat, -c)(g)
     hd = grid.h ** grid.dimension
     lhs = hd * np.vdot(v - w, f)
     rhs = -_boundary_pairing(grid, phases, gamma, u, v)

@@ -208,16 +208,6 @@ def test_window_vectors_and_residuals():
             == pytest.approx(res.residuals[i], abs=1e-12)
 
 
-def test_minres_inner_solver():
-    # iterative inner solves cap the reachable residual, so the tolerance
-    # here is far looser than for the direct factorization
-    d = np.linspace(0.0, 5.0, 60)
-    op = HermitianOperator.from_matrix(sp.diags(d))
-    res = eigs_window(op, 1.0, 1.5, method="sliced", inner="minres", tol=1e-6)
-    want = d[(d >= 1.0) & (d <= 1.5)]
-    assert np.allclose(np.sort(res.eigenvalues), want, atol=1e-5)
-
-
 def test_empty_window():
     op = HermitianOperator.from_matrix(sp.diags([0.0, 5.0]))
     res = eigs_window(op, 1.0, 2.0)
@@ -296,15 +286,16 @@ def test_lowest_multiplet_straddling_k():
 
 def test_window_edges_on_lattice_eigenvalues():
     # both edges sit on eigenvalues (to rounding): the closed window keeps
-    # them, where a dense filter may drop either one by an ulp
+    # them on both paths, though eigh may return an edge value an ulp outside
     op = _lattice_op(h=0.3)
     w = np.linalg.eigvalsh(op.dense())
     for j in (3, 11, 20, 34):
-        got = eigs_window(op, float(w[j]), float(w[j + 7]), tol=1e-9,
-                          method="sliced", seed=j)
-        assert got.certified
-        assert np.allclose(got.eigenvalues, w[j:j + 8], atol=1e-8)
-        assert np.all(got.residuals <= 1e-9)
+        for method in ("sliced", "dense"):
+            got = eigs_window(op, float(w[j]), float(w[j + 7]), tol=1e-9,
+                              method=method, seed=j)
+            assert got.certified
+            assert np.allclose(got.eigenvalues, w[j:j + 8], atol=1e-8)
+            assert np.all(got.residuals <= 1e-9)
 
 
 def test_bisection_above_slice_max(monkeypatch):

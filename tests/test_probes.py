@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from magspec.assembly import HermitianOperator, assemble, direct_sum
 from magspec.fields import FieldSpec, link_phases
-from magspec.geometry import DiskObstacle, DomainSpec, build_grid
+from magspec.geometry import BoxObstacle, DiskObstacle, DomainSpec, build_grid
 from magspec.probes import (boundary_identity_check, hermitian_shift,
                             resolvent_difference_svd, smooth_random_field)
 
@@ -91,12 +93,58 @@ def test_resolvent_svd_shift_reuse_and_gauge():
 def test_resolvent_svd_guards():
     _, _, full, split = _setup(0.3)
     with pytest.raises(ValueError):
-        resolvent_difference_svd(full, split, n_max=10)
-    with pytest.raises(ValueError):
         resolvent_difference_svd(full, split, k=0)
     other = HermitianOperator.from_matrix(sp.diags([1.0, 2.0]))
     with pytest.raises(ValueError):
         resolvent_difference_svd(full, other)
+
+
+def test_resolvent_svd_rejects_reordered_nodes():
+    # same size, rows in another node order: the difference would no longer
+    # be supported on the boundary, so the probe must refuse it
+    _, _, full, split = _setup(0.3)
+    perm = np.random.default_rng(0).permutation(split.n)
+    shuffled = HermitianOperator(split.mat[perm][:, perm].tocsr(),
+                                 split.nodes[perm], split.region,
+                                 dict(split.meta))
+    with pytest.raises(ValueError, match="node sets"):
+        resolvent_difference_svd(full, shuffled, shift=6.0)
+
+
+def test_resolvent_svd_zeros_past_boundary_rank():
+    # cutting one bond of a chain changes a 2 x 2 block: rank V <= 2
+    n = 20
+    chain = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tolil()
+    full = HermitianOperator.from_matrix(chain)
+    chain[9, 10] = chain[10, 9] = 0.0
+    chain[9, 9] = chain[10, 10] = 1.0
+    split = HermitianOperator.from_matrix(chain)
+    sv, c = resolvent_difference_svd(full, split, shift=1.0, k=5)
+    assert c == 1.0
+    eye = np.eye(n)
+    want = sla.svdvals(np.linalg.inv(split.dense() + eye)
+                       - np.linalg.inv(full.dense() + eye))
+    assert len(sv) == 5
+    assert np.allclose(sv[:2], want[:2], rtol=1e-12)
+    assert np.all(sv[2:] == 0.0)
+    assert len(resolvent_difference_svd(full, split, shift=1.0, k=50)[0]) == n
+    same, _ = resolvent_difference_svd(full, full, shift=1.0, k=3)
+    assert np.all(same == 0.0) and len(same) == 3
+
+
+def test_resolvent_svd_above_dense_limit():
+    # n = 5041, past the n <= 4000 the dense-inverse probe allowed
+    g = build_grid(DomainSpec(2, 2.25, "box", BoxObstacle((0.0, 0.0), (0.5, 0.5))),
+                   0.0625)
+    ph = link_phases(g, FieldSpec.constant(1.0))
+    full = assemble(g, ph, region="full")
+    split = direct_sum(assemble(g, ph, region="omega", gamma=0.5),
+                       assemble(g, ph, region="obstacle", gamma=0.5))
+    assert full.n > 4000
+    sv, _ = resolvent_difference_svd(full, split, shift=6.0, k=10)
+    assert len(sv) == 10
+    assert np.all(np.isfinite(sv)) and sv[9] > 0
+    assert np.all(np.diff(sv) <= 0)
 
 
 # ── Boundary identity ──────────────────────────────────────────────────────
@@ -158,3 +206,52 @@ def test_identity_dict_and_guards():
     om_only = assemble(g, ph, region="omega", gamma=0.5)
     with pytest.raises(ValueError):
         boundary_identity_check(om_only, split, g, ph, 0.5)
+
+
+# ── Differential checks against the dense formulas ─────────────────────────
+
+
+@st.composite
+def _split_problems(draw):
+    R = draw(st.floats(1.5, 2.2))
+    if draw(st.booleans()):
+        obstacle = DiskObstacle((0.0, 0.0), draw(st.floats(0.4, 0.9)))
+    else:
+        half = draw(st.floats(0.3, 0.7))
+        obstacle = BoxObstacle((0.0, 0.0), (half, draw(st.floats(0.3, 0.7))))
+    shape = draw(st.sampled_from(["disk", "box"]))
+    h = draw(st.sampled_from([0.25, 0.3]))
+    g = build_grid(DomainSpec(2, R, shape, obstacle), h)
+    ph = link_phases(g, FieldSpec.constant(draw(st.floats(0.0, 2.0))))
+    chi = np.random.default_rng(draw(st.integers(0, 2**16))).normal(size=g.n_nodes)
+    ph = ph.shifted(chi)
+    if draw(st.booleans()):
+        kw = dict(boundary="robin", gamma=draw(st.floats(-1.0, 1.0)))
+    else:
+        kw = dict(boundary="dirichlet", gamma=0.0)
+    full = assemble(g, ph, region="full")
+    split = direct_sum(assemble(g, ph, region="omega", **kw),
+                       assemble(g, ph, region="obstacle", **kw))
+    return g, ph, kw["gamma"], full, split
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(problem=_split_problems(), k=st.integers(1, 12), seed=st.integers(0, 99))
+def test_probes_match_dense_formulas(problem, k, seed):
+    g, ph, gamma, full, split = problem
+    c = hermitian_shift(full, split)
+    eye = np.eye(g.n_nodes)
+    a = split.dense() + c * eye
+    b = full.dense() + c * eye
+    want = sla.svdvals(np.linalg.inv(a) - np.linalg.inv(b))[:k]
+    sv, c_used = resolvent_difference_svd(full, split, k=k)
+    assert c_used == c
+    assert len(sv) == len(want)
+    assert np.allclose(sv, want, rtol=1e-10, atol=0.0)
+
+    out = boundary_identity_check(full, split, g, ph, gamma, shift=c, seed=seed)
+    f = smooth_random_field(g, seed)
+    gg = smooth_random_field(g, seed + 1)
+    lhs = g.h**2 * np.vdot(np.linalg.solve(a, gg) - np.linalg.solve(b, gg), f)
+    assert abs(out.lhs - lhs) <= 1e-10 * abs(lhs)
