@@ -8,7 +8,8 @@ Three subcommands:
 
 Configs are flat ``key = value`` files (# comments allowed).  ``run`` writes
 results.json plus eigenvalues.csv, and ladder.csv for ladder/compare
-experiments, all deterministic for a fixed config and seed.  Exit codes:
+experiments, all deterministic for a fixed config and seed; ``--jobs N``
+(default 1) solves ladder rungs in N worker processes.  Exit codes:
 0 success or PASS verdict, 2 FAIL verdict, 3 inconclusive, 1 error.
 """
 
@@ -397,8 +398,8 @@ def main(argv=None):
     p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel ladder rungs")
+    p_run.add_argument("--jobs", type=int, default=1,
+                       help="parallel ladder rungs (default 1)")
     p_run.add_argument("--export-matrix", default=None, metavar="PATH",
                        help="also export the assembled operator "
                             "(coordinate format)")
@@ -420,19 +421,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_ERROR
-    except FileNotFoundError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_ERROR
-    except WindowOverflow as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_ERROR
     except NonConvergence as e:
         sys.stderr.write(f"error: solver did not converge: {e}\n")
         return EXIT_ERROR
-    except (ValueError, TypeError) as e:
+    except (ConfigError, FileNotFoundError, WindowOverflow, ValueError,
+            TypeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_ERROR
 

@@ -7,16 +7,18 @@ crossover (DENSE_CUTOFF rows) and by dense LAPACK at or below it:
   the inertia count is 0, and an upper shift widened and then bisected by
   inertia counts bracket a window holding at least k eigenvalues; the window
   is solved as below and its lowest k are kept.
-* eigs_window  -- every eigenvalue in an interval.  Inertia counts at the
-  edges fix the census, inertia bisection splits it into slices, and
-  shift-invert Lanczos recovers the pairs of each slice.
+* eigs_window  -- every eigenvalue in the closed window [a, b].  Inertia
+  counts at the edges fix the census, inertia bisection splits it into
+  slices, and shift-invert Lanczos recovers the pairs of each slice.
 
-Completeness is certified by eigenvalue counts obtained from the inertia of
-shifted operators (symmetric-pivot sparse factorization): the recovered
+method is "auto", "dense" (LAPACK, the oracle) or "lanczos" (the sliced
+path).  Both paths widen a window's edges outward by _EDGE_PAD * max|diag H|,
+so an eigenvalue on an edge is kept.  Completeness is certified by inertia
+counts, read from the pivots of _factor, the one sparse LU of H - sigma I
+that the slices and the resolvent probes also solve with: the recovered
 pieces must add up to the census.  When no symmetric factorization succeeds,
 or the counts are inconsistent, results are returned with certified=False and
-the reason in info.message rather than silently trusted.  Dense LAPACK stays
-available as the explicit oracle (method="dense").
+the reason in info.message rather than silently trusted.
 
 Every reported pair carries an explicitly computed residual
 || H v - lambda v || / || v ||, accumulated with compensated summation.
@@ -40,6 +42,7 @@ DENSE_CUTOFF = 250
 _SLICE_MAX = 110          # eigenvalues per shift-invert slice
 _BREAKDOWN = 1e-13
 _BISECT_STEPS = 60        # halvings of the lowest-k bracket before settling
+_EDGE_PAD = 1e-12         # window pad and first inertia nudge, x max|diag H|
 
 
 @dataclass
@@ -102,7 +105,7 @@ def _residuals(op, values, vectors):
     return np.array([residual(op, w, vectors[:, i]) for i, w in enumerate(values)])
 
 
-# ── Inertia counts ─────────────────────────────────────────────────────────
+# ── Sparse factorization and inertia counts ────────────────────────────────
 
 
 def _operator_scale(mat):
@@ -114,6 +117,25 @@ def _gershgorin_bounds(mat):
     diag = mat.diagonal()
     radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
     return float(np.min(diag.real - radius)), float(np.max(diag.real + radius))
+
+
+def _factor(mat, sigma):
+    """Sparse LU of H - sigma I in symmetric mode with diagonal pivots, so
+    that the signs of the pivots give the inertia."""
+    n = mat.shape[0]
+    shifted = mat.tocsc() - sigma * sp.identity(n, dtype=complex, format="csc")
+    return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+
+
+def shifted_solver(mat, sigma):
+    """Solver for (H - sigma I) x = b from one sparse LU of H - sigma I.
+
+    The returned function takes b as a vector or as an n x m block of
+    right-hand sides.  The shift-invert slices and the resolvent probes
+    both factorise through here.
+    """
+    return _factor(mat, sigma).solve
 
 
 def inertia_count(op, s, _scale=None, direction=1.0):
@@ -128,15 +150,12 @@ def inertia_count(op, s, _scale=None, direction=1.0):
     must nudge up for the same reason.
     """
     mat = op.mat.tocsc()
-    n = mat.shape[0]
     scale = _scale if _scale is not None else _operator_scale(mat)
-    eye = sp.identity(n, dtype=complex, format="csc")
-    nudge = 1e-12 * scale * (1.0 if direction >= 0 else -1.0)
+    nudge = _EDGE_PAD * scale * (1.0 if direction >= 0 else -1.0)
     t = float(s)
     for _ in range(5):
         try:
-            lu = splu((mat - t * eye).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+            lu = _factor(mat, t)
         except RuntimeError:
             t = t + nudge
             nudge *= 100.0
@@ -164,12 +183,9 @@ def _dense_lowest(op, k, tol, return_vectors):
                           dict(op.meta))
 
 
-def _dense_window(op, a, b, tol, cap, return_vectors):
+def _dense_window(op, a, b, lo, hi, tol, cap, return_vectors):
     w, v = sla.eigh(op.dense())
-    # an eigenvalue on an edge may come back an ulp outside it; widen by the
-    # step inertia_count nudges by, so both paths keep the closed window
-    pad = 1e-12 * _operator_scale(op.mat)
-    mask = (w >= a - pad) & (w <= b + pad)
+    mask = (w >= lo) & (w <= hi)
     count = int(mask.sum())
     if count > cap:
         raise WindowOverflow(
@@ -273,25 +289,11 @@ class _Krylov:
 # ── Shift-invert slices ────────────────────────────────────────────────────
 
 
-def shifted_solver(mat, sigma):
-    """Solver for (H - sigma I) x = b from one sparse LU of H - sigma I.
-
-    The returned function takes b as a vector or as an n x m block of
-    right-hand sides.  The shift-invert slices and the resolvent probes
-    both factorise through here.
-    """
-    n = mat.shape[0]
-    shifted = mat.tocsc() - sigma * sp.identity(n, dtype=complex, format="csc")
-    lu = splu(shifted, permc_spec="MMD_AT_PLUS_A",
-              options=dict(SymmetricMode=True))
-    return lu.solve
-
-
 def _empty_pairs(n):
     return np.empty(0), np.empty(0), np.empty((n, 0), complex)
 
 
-def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80, exact=True):
+def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80):
     """All m_expect eigenvalues in [p, q) by shift-invert Lanczos.
 
     Returns (values, residuals, vectors, matvecs, converged).  When the
@@ -303,9 +305,7 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80, exact=True):
     band: a converged value carries rounding noise, so an eigenvalue sitting
     numerically on a slice boundary must not be lost (or double-counted) by
     a hard cut; when more candidates converge than the census allows, the
-    ones farthest outside the slice are dropped first.  With exact=False the
-    first batch of >= m_expect converged pairs is returned untrimmed
-    (best-effort mode for uncertified sweeps).
+    ones farthest outside the slice are dropped first.
     """
     n = op.n
     sigma = p + 0.5137 * (q - p)        # off-center: dodge symmetric clusters
@@ -333,7 +333,7 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80, exact=True):
             res = _residuals(op, vals, vecs)
             good = np.nonzero(res <= tol)[0]
             if len(good) >= m_expect:
-                if exact and len(good) > m_expect:
+                if len(good) > m_expect:
                     depth = np.minimum(vals[good] - p, q - vals[good])
                     order = np.lexsort((res[good], -depth))
                     good = good[order[:m_expect]]
@@ -426,29 +426,25 @@ def _sliced_result(op, found, tol, return_vectors, claim, window=None):
     return result
 
 
-def _window_sliced(op, a, b, tol, cap, seed, return_vectors):
-    """Certified window query: inertia bisection plus per-slice shift-invert."""
+def _window_sliced(op, a, b, lo, hi, tol, cap, seed, return_vectors):
+    """Certified window query: inertia counts at the padded edges lo and hi,
+    inertia bisection and per-slice shift-invert over [lo, hi)."""
     rng = np.random.default_rng(seed)
     scale = _operator_scale(op.mat)
-    b_plus = np.nextafter(b, np.inf)
-    na = inertia_count(op, a, _scale=scale, direction=-1.0)
-    nb = inertia_count(op, b_plus, _scale=scale, direction=1.0)
+    na = inertia_count(op, lo, _scale=scale, direction=-1.0)
+    nb = inertia_count(op, hi, _scale=scale, direction=1.0)
     if na is None or nb is None or nb < na:
-        # no certificate available: single uncertified sweep at the middle
-        vals, res, vecs, mv, _ = _slice_eigs(op, a, b_plus, 1, tol, rng,
-                                             exact=False)
-        ok = res <= tol
-        vals, res, vecs = vals[ok], res[ok], vecs[:, ok]
         why = ("inertia factorization infeasible" if na is None or nb is None
                else f"non-monotone inertia counts {na}, {nb} at the edges")
-        info = SolverInfo("lanczos", mv, tol, True, f"{why}; counts uncertified")
+        vals, res, vecs = _empty_pairs(op.n)
+        info = SolverInfo("lanczos", 0, tol, True, f"{why}; counts uncertified")
         return SpectrumResult(vals, res, info, vecs if return_vectors else None,
                               dict(op.meta), certified=False, window=(a, b))
     m_w = nb - na
     if m_w > cap:
         raise WindowOverflow(
             f"window [{a}, {b}] holds {m_w} eigenvalues, cap is {cap}", m_w)
-    found = _sliced(op, a, b_plus, na, nb, tol, rng, scale)
+    found = _sliced(op, lo, hi, na, nb, tol, rng, scale)
     return _sliced_result(op, found, tol, return_vectors,
                           f"window [{a}, {b}]: shift-invert slices, "
                           f"inertia-certified count {m_w}", window=(a, b))
@@ -467,7 +463,7 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
     scale = _operator_scale(op.mat)
     lo, hi = _gershgorin_bounds(op.mat)
     # above hi every eigenvalue is below the shift, with no factorization
-    top = np.nextafter(hi, np.inf)
+    top = hi + _EDGE_PAD * scale
     target = max(2 * k, k + 16)
     below = lo                      # a shift with fewer than k below it
     width = max((hi - lo) * k / n, 1e-8 * scale)
@@ -522,23 +518,28 @@ def eigs_lowest(op, k, tol=1e-8, seed=0, method="auto", return_vectors=True):
 
 def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="auto",
                 return_vectors=False):
-    """Every eigenvalue in [a, b], with certified completeness when possible.
+    """Every eigenvalue in the closed window [a, b], with certified
+    completeness when possible.
 
-    At or below DENSE_CUTOFF rows the window is filtered from a dense solve;
-    above it, inertia counts of H - aI and H - bI fix the census and
-    shift-invert Lanczos slices recover the pairs.  Raises WindowOverflow
-    when the census exceeds cap, and NonConvergence carrying the partial
-    result when a slice does not converge.  result.certified reports whether
-    the census was proven; when it was not, info.message says why.
+    Both paths widen the edges outward by _EDGE_PAD * max|diag H|.  method
+    "auto" filters a dense solve ("dense") at or below DENSE_CUTOFF rows;
+    above it, inertia counts at the widened edges fix the census and
+    shift-invert Lanczos slices recover the pairs ("lanczos").  Raises
+    WindowOverflow when the census exceeds cap, and NonConvergence carrying
+    the partial result when a slice does not converge.  result.certified
+    reports whether the census was proven; when it was not, info.message
+    says why, and unusable edge counts give no pairs.
     """
     if not b >= a:
         raise ValueError(f"empty window: [{a}, {b}]")
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    if method not in ("auto", "dense", "sliced"):
+    if method not in ("auto", "dense", "lanczos"):
         raise ValueError(f"unknown method {method!r}")
     if method == "auto":
-        method = "dense" if op.n <= DENSE_CUTOFF else "sliced"
+        method = "dense" if op.n <= DENSE_CUTOFF else "lanczos"
+    pad = _EDGE_PAD * _operator_scale(op.mat)
+    lo, hi = a - pad, b + pad
     if method == "dense":
-        return _dense_window(op, a, b, tol, cap, return_vectors)
-    return _window_sliced(op, a, b, tol, cap, seed, return_vectors)
+        return _dense_window(op, a, b, lo, hi, tol, cap, return_vectors)
+    return _window_sliced(op, a, b, lo, hi, tol, cap, seed, return_vectors)

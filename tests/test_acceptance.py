@@ -293,7 +293,7 @@ def test_criterion_8_solver_agreement():
     evs_all = np.linalg.eigvalsh(op.dense())
     n_filter = int(np.count_nonzero((evs_all >= 0.0) & (evs_all <= 6.0)))
     w_d = eigs_window(op, 0.0, 6.0, method="dense")
-    w_s = eigs_window(op, 0.0, 6.0, tol=1e-8, method="sliced", seed=0)
+    w_s = eigs_window(op, 0.0, 6.0, tol=1e-8, method="lanczos", seed=0)
     wdiff = (float(np.max(np.abs(w_d.eigenvalues - w_s.eigenvalues)))
              if w_d.k == w_s.k else np.inf)
     counts_match = w_d.k == w_s.k == n_filter and w_s.certified

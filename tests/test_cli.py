@@ -9,8 +9,10 @@ import scipy.sparse as sp
 
 import conftest
 
+from magspec import cli
 from magspec.assembly import load_coordinate
 from magspec.cli import ConfigError, build_configs, main, parse_config
+from magspec.eigensolve import DENSE_CUTOFF
 from magspec.experiments import build_operator
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -248,6 +250,31 @@ def test_run_compare_fail_exit_code(tmp_path, capsys):
     data = json.loads((outdir / "results.json").read_text())
     assert data["verdict"] == "FAIL"
     assert data["exit_code"] == 2
+
+
+def test_run_jobs_defaults_to_one(tmp_path, monkeypatch):
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def fake_compare(*args, jobs, **kwargs):
+        seen.append(jobs)
+        raise Stop
+
+    monkeypatch.setattr(cli, "ladder_compare", fake_compare)
+    with pytest.raises(Stop):
+        main(["run", _cfgfile(tmp_path, SMALL_COMPARE),
+              "--out", str(tmp_path / "o")])
+    assert seen == [1]
+
+
+def test_run_nonconvergence_is_error(tmp_path, capsys):
+    cfg = _cfgfile(tmp_path, SMALL_SPECTRUM + "tol = 0\n")
+    _, cfg_obj, _ = build_configs(parse_config(cfg))
+    assert build_operator(cfg_obj)[2].n > DENSE_CUTOFF    # sliced window path
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "solver did not converge" in capsys.readouterr().err
 
 
 def test_run_window_overflow_is_error(tmp_path, capsys):

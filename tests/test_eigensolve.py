@@ -144,7 +144,7 @@ def test_dense_window_closed_endpoints():
 def test_sliced_window_closed_endpoints():
     d = np.arange(81) * 0.0625             # exact binary grid: 1.0, 2.0 hit
     op = HermitianOperator.from_matrix(sp.diags(d))
-    res = eigs_window(op, 1.0, 2.0, method="sliced", seed=2)
+    res = eigs_window(op, 1.0, 2.0, method="lanczos", seed=2)
     want = d[(d >= 1.0) & (d <= 2.0)]      # 17 values, both endpoints in
     assert res.certified
     assert res.k == 17
@@ -155,7 +155,7 @@ def test_sliced_window_matches_dense_on_lattice():
     op = _lattice_op(h=0.25)
     a, b = 0.0, 4.0
     dense = eigs_window(op, a, b, method="dense")
-    sliced = eigs_window(op, a, b, method="sliced", seed=0, tol=1e-9)
+    sliced = eigs_window(op, a, b, method="lanczos", seed=0, tol=1e-9)
     assert sliced.certified
     assert sliced.k == dense.k
     assert np.allclose(np.sort(sliced.eigenvalues), dense.eigenvalues, atol=1e-8)
@@ -166,7 +166,7 @@ def test_sliced_window_degenerate_clusters():
     d = np.concatenate([np.full(30, 1.0), np.full(45, 1.5), np.full(25, 2.0),
                         np.linspace(2.5, 40.0, 50)])
     op = HermitianOperator.from_matrix(sp.diags(d))
-    res = eigs_window(op, 0.9, 2.1, method="sliced", seed=5)
+    res = eigs_window(op, 0.9, 2.1, method="lanczos", seed=5)
     assert res.certified
     assert res.k == 100
     assert int(np.sum(np.abs(res.eigenvalues - 1.0) < 1e-8)) == 30
@@ -185,7 +185,7 @@ def test_window_overflow():
 def test_window_overflow_sliced():
     op = _lattice_op(h=0.3)
     with pytest.raises(WindowOverflow):
-        eigs_window(op, 0.0, 50.0, cap=5, method="sliced")
+        eigs_window(op, 0.0, 50.0, cap=5, method="lanczos")
 
 
 def test_window_validation():
@@ -196,11 +196,13 @@ def test_window_validation():
         eigs_window(op, 0.0, 1.0, cap=0)
     with pytest.raises(ValueError):
         eigs_window(op, 0.0, 1.0, method="filter")
+    with pytest.raises(ValueError):
+        eigs_window(op, 0.0, 1.0, method="sliced")
 
 
 def test_window_vectors_and_residuals():
     op = _lattice_op(h=0.3)
-    res = eigs_window(op, 0.0, 3.0, method="sliced", return_vectors=True)
+    res = eigs_window(op, 0.0, 3.0, method="lanczos", return_vectors=True)
     assert res.eigenvectors is not None
     assert res.eigenvectors.shape == (op.n, res.k)
     for i in range(res.k):
@@ -212,7 +214,7 @@ def test_empty_window():
     op = HermitianOperator.from_matrix(sp.diags([0.0, 5.0]))
     res = eigs_window(op, 1.0, 2.0)
     assert res.k == 0
-    res2 = eigs_window(op, 1.0, 2.0, method="sliced")
+    res2 = eigs_window(op, 1.0, 2.0, method="lanczos")
     assert res2.k == 0 and res2.certified
 
 
@@ -262,7 +264,7 @@ def test_lowest_matches_dense_oracle(op, k):
 @given(op=_problems(), a=st.floats(-2.0, 4.0), width=st.floats(0.0, 4.0))
 def test_window_matches_dense_oracle(op, a, width):
     want = eigs_window(op, a, a + width, method="dense")
-    got = eigs_window(op, a, a + width, tol=1e-9, method="sliced")
+    got = eigs_window(op, a, a + width, tol=1e-9, method="lanczos")
     _assert_matches_oracle(got, want, 1e-9)
 
 
@@ -287,15 +289,17 @@ def test_lowest_multiplet_straddling_k():
 def test_window_edges_on_lattice_eigenvalues():
     # both edges sit on eigenvalues (to rounding): the closed window keeps
     # them on both paths, though eigh may return an edge value an ulp outside
-    op = _lattice_op(h=0.3)
-    w = np.linalg.eigvalsh(op.dense())
-    for j in (3, 11, 20, 34):
-        for method in ("sliced", "dense"):
-            got = eigs_window(op, float(w[j]), float(w[j + 7]), tol=1e-9,
-                              method=method, seed=j)
-            assert got.certified
-            assert np.allclose(got.eigenvalues, w[j:j + 8], atol=1e-8)
-            assert np.all(got.residuals <= 1e-9)
+    # and an inertia count right at an edge may land on either side of it
+    for op in (_lattice_op(h=0.3), _random_herm(120, 11)):
+        w = np.linalg.eigvalsh(op.dense())
+        for j in range(1, op.n - 7, 3):
+            for method in ("lanczos", "dense"):
+                got = eigs_window(op, float(w[j]), float(w[j + 7]), tol=1e-9,
+                                  method=method, seed=j)
+                assert got.certified, (j, method, got.info.message)
+                assert got.k == 8, (j, method, got.k)
+                assert np.allclose(got.eigenvalues, w[j:j + 8], atol=1e-8)
+                assert np.all(got.residuals <= 1e-9)
 
 
 def test_bisection_above_slice_max(monkeypatch):
@@ -316,7 +320,7 @@ def test_bisection_above_slice_max(monkeypatch):
     want = eigs_window(op, 0.0, b, method="dense")
     assert want.k > eigensolve._SLICE_MAX
     shifts.clear()
-    got = eigs_window(op, 0.0, b, tol=1e-9, method="sliced")
+    got = eigs_window(op, 0.0, b, tol=1e-9, method="lanczos")
     _assert_matches_oracle(got, want, 1e-9)
     assert len(shifts) > 2          # the edges plus at least one bisection
 
@@ -333,8 +337,31 @@ def test_non_monotone_count_is_uncertified(monkeypatch):
         return n + 500 if 0.0 < s < 8.0 else n
 
     monkeypatch.setattr(eigensolve, "inertia_count", faulty)
-    res = eigs_window(op, 0.0, 8.0, method="sliced")
+    res = eigs_window(op, 0.0, 8.0, method="lanczos")
     assert not res.certified
+    assert "non-monotone" in res.info.message
+
+
+def test_uncertifiable_edge_counts_give_no_pairs(monkeypatch):
+    # without a usable census at the edges nothing can be certified, so no
+    # pairs are returned rather than an unchecked guess
+    op = _lattice_op(h=0.3)
+    true_count = eigensolve.inertia_count
+
+    def infeasible_low(op, s, _scale=None, direction=1.0):
+        return None if direction < 0 else true_count(op, s, _scale=_scale)
+
+    monkeypatch.setattr(eigensolve, "inertia_count", infeasible_low)
+    res = eigs_window(op, 0.0, 3.0, method="lanczos")
+    assert not res.certified and res.k == 0
+    assert "infeasible" in res.info.message
+
+    def swapped(op, s, _scale=None, direction=1.0):
+        return 40 if direction < 0 else 10
+
+    monkeypatch.setattr(eigensolve, "inertia_count", swapped)
+    res = eigs_window(op, 0.0, 3.0, method="lanczos")
+    assert not res.certified and res.k == 0
     assert "non-monotone" in res.info.message
 
 
@@ -348,7 +375,7 @@ def test_recovered_total_checked_against_census(monkeypatch):
         return vals[1:], res[1:], vecs[:, 1:], mv, ok
 
     monkeypatch.setattr(eigensolve, "_slice_eigs", lossy)
-    res = eigs_window(op, 1.0, 3.0, method="sliced")
+    res = eigs_window(op, 1.0, 3.0, method="lanczos")
     assert not res.certified
     assert "census" in res.info.message
     assert not eigs_lowest(op, 5, method="lanczos").certified
@@ -357,7 +384,7 @@ def test_recovered_total_checked_against_census(monkeypatch):
 def test_window_nonconvergence_carries_partial():
     op = _lattice_op(h=0.3)
     with pytest.raises(NonConvergence) as exc:
-        eigs_window(op, 0.0, 3.0, tol=0.0, method="sliced")
+        eigs_window(op, 0.0, 3.0, tol=0.0, method="lanczos")
     part = exc.value.partial
     assert part is not None and not part.certified
     assert not part.info.converged
