@@ -14,19 +14,21 @@ crossover (DENSE_CUTOFF rows) and by dense LAPACK at or below it:
 method is "auto", "dense" (LAPACK, the oracle) or "lanczos" (the sliced
 path).  Both paths widen a window's edges outward by _EDGE_PAD * max|diag H|,
 so an eigenvalue on an edge is kept.  Completeness is certified by inertia
-counts, read from the pivots of _factor, the one sparse LU of H - sigma I
-that the slices and the resolvent probes also solve with: the recovered
-pieces must add up to the census.  When no symmetric factorization succeeds,
+counts, read from the diagonal pivots of _factor, the one sparse LU of
+H - sigma I that the slices and the resolvent probes also solve with (there
+with threshold pivots): the recovered pieces must add up to the census.  When no symmetric factorization succeeds,
 or the counts are inconsistent, results are returned with certified=False and
 the reason in info.message rather than silently trusted.
 
 Every reported pair carries an explicitly computed residual
-|| H v - lambda v || / || v ||, accumulated with compensated summation.
+|| H v - lambda v || / || v || (BLAS 2-norms, column by column), and only
+that residual certifies a pair.  A shift-invert cycle stops once residual
+estimates read off the Krylov relation say the slice census can be met;
+the explicit residuals then decide, and the cycle extends if they refuse.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,10 @@ _SLICE_MAX = 110          # eigenvalues per shift-invert slice
 _BREAKDOWN = 1e-13
 _BISECT_STEPS = 60        # halvings of the lowest-k bracket before settling
 _EDGE_PAD = 1e-12         # window pad and first inertia nudge, x max|diag H|
+_CHECK_EVERY = 8          # Krylov steps between looks at the Ritz estimates
+_SHIFT_GAP = 1e-7         # slice width below which the shift is placed as if
+                          # this wide, x max|diag H|
+_SOLVE_PIVOT = 0.1        # least diagonal pivot of the solves' LU, x column
 
 
 @dataclass
@@ -91,14 +97,20 @@ class WindowOverflow(RuntimeError):
 
 
 def residual(op, value, vector):
-    """|| H v - value v || / || v ||, with compensated summation."""
+    """|| H v - value v || / || v ||, both norms BLAS 2-norms.
+
+    Rounding stays far below the tolerances that certify (default 1e-8).
+    Forming H v - value v errs by at most about (row nnz + 1) u (|H| |v| +
+    |value| |v|) per entry, u = 1.1e-16: about 1e-15 relative to
+    ||H|| ||v|| for lattice rows of 5 to 7 entries.  The sums of squares
+    inside the norms add a relative error of at most n u to the residual
+    itself, whatever the scaling of v short of overflow.
+    """
     v = np.asarray(vector, dtype=complex)
-    r = op.mat @ v - value * v
-    num = math.fsum((r * r.conj()).real)
-    den = math.fsum((v * v.conj()).real)
+    den = np.linalg.norm(v)
     if den == 0.0:
         raise ValueError("residual of the zero vector is undefined")
-    return math.sqrt(num / den)
+    return float(np.linalg.norm(op.mat @ v - value * v) / den)
 
 
 def _residuals(op, values, vectors):
@@ -119,12 +131,13 @@ def _gershgorin_bounds(mat):
     return float(np.min(diag.real - radius)), float(np.max(diag.real + radius))
 
 
-def _factor(mat, sigma):
-    """Sparse LU of H - sigma I in symmetric mode with diagonal pivots, so
-    that the signs of the pivots give the inertia."""
+def _factor(mat, sigma, pivot_thresh=0.0):
+    """Sparse LU of H - sigma I in symmetric mode.  The default keeps every
+    pivot diagonal, so that the signs of the pivots give the inertia."""
     n = mat.shape[0]
     shifted = mat.tocsc() - sigma * sp.identity(n, dtype=complex, format="csc")
-    return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    return splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=pivot_thresh,
                 options=dict(SymmetricMode=True))
 
 
@@ -133,9 +146,11 @@ def shifted_solver(mat, sigma):
 
     The returned function takes b as a vector or as an n x m block of
     right-hand sides.  The shift-invert slices and the resolvent probes
-    both factorise through here.
+    both factorise through here.  A diagonal pivot is refused when it is
+    below _SOLVE_PIVOT times its column: forced diagonal pivots lose
+    accuracy near a multiple eigenvalue, and the solves need no inertia.
     """
-    return _factor(mat, sigma).solve
+    return _factor(mat, sigma, _SOLVE_PIVOT).solve
 
 
 def inertia_count(op, s, _scale=None, direction=1.0):
@@ -293,6 +308,23 @@ def _empty_pairs(n):
     return np.empty(0), np.empty(0), np.empty((n, 0), complex)
 
 
+def _ritz_estimates(mat, sigma, kry, theta, y):
+    """Residual norms || (H - lambda) x || of the Ritz pairs lambda = sigma +
+    1/theta, x = Q y, estimated without forming x.
+
+    Full reorthogonalization keeps S Q = Q P + beta q e^T, with S = (H -
+    sigma I)^-1, q the continuation column and beta = P[me, me - 1].  Hence
+    (H - lambda) x = -beta y_me (H - sigma I) q / theta: one sparse matvec
+    prices every pair.  The estimates only decide when to look; they
+    certify nothing.
+    """
+    me = kry.me
+    q = kry.Q[:, me]
+    r = np.linalg.norm(mat @ q - sigma * q)
+    with np.errstate(divide="ignore"):
+        return abs(kry.P[me, me - 1]) * r * np.abs(y[me - 1]) / np.abs(theta)
+
+
 def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80):
     """All m_expect eigenvalues in [p, q) by shift-invert Lanczos.
 
@@ -306,14 +338,48 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80):
     numerically on a slice boundary must not be lost (or double-counted) by
     a hard cut; when more candidates converge than the census allows, the
     ones farthest outside the slice are dropped first.
+
+    A cycle grows the basis up to m_max columns but stops early: from
+    m_expect columns on, every _CHECK_EVERY steps, the Ritz residuals are
+    estimated from the Krylov relation (_ritz_estimates), and once m_expect
+    candidates in the guard band estimate at or below tol / 2, their
+    explicit residuals are computed.  The slice is accepted only when those
+    meet the census at tol, the same test that ends a full cycle; otherwise
+    the cycle extends.
     """
     n = op.n
-    sigma = p + 0.5137 * (q - p)        # off-center: dodge symmetric clusters
+    # off-center, to dodge symmetric clusters, and at least _SHIFT_GAP from
+    # p: a shift nearly on a multiple eigenvalue stalls the residuals
+    sigma = p + 0.5137 * max(q - p, _SHIFT_GAP * _operator_scale(op.mat))
     solve = shifted_solver(op.mat, sigma)
     pad = max(100.0 * tol, 1e-12 * max(abs(p), abs(q), 1.0))
     m_max = int(min(n, max(2 * m_expect + 30, 60)))
     kry = _Krylov(n, m_max, rng)
     kry.seed_vector()
+
+    def candidates():
+        theta, y = kry.ritz()
+        lam = np.where(np.abs(theta) > 1e-300, sigma + 1.0 / theta, np.inf)
+        # guard band around [p, q): the census decides how many belong here,
+        # rounding in the Ritz values must not
+        return theta, y, lam, (lam >= p - pad) & (lam < q + pad)
+
+    def certify(y, lam, cand):
+        """Explicit residuals of the candidates, and the indices of the
+        m_expect certified pairs in value order (None if short)."""
+        idx = np.nonzero(cand)[0]
+        vecs = kry.ritz_vectors(y[:, idx])
+        vals = lam[idx]
+        res = _residuals(op, vals, vecs)
+        good = np.nonzero(res <= tol)[0]
+        if len(good) < m_expect:
+            return vals, res, vecs, None
+        if len(good) > m_expect:
+            depth = np.minimum(vals[good] - p, q - vals[good])
+            order = np.lexsort((res[good], -depth))
+            good = good[order[:m_expect]]
+        return vals, res, vecs, good[np.argsort(vals[good])]
+
     matvecs = 0
     best = _empty_pairs(n)
     for cycle in range(max_restarts):
@@ -321,24 +387,19 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80):
             if kry.extend(solve) is None:
                 break
             matvecs += 1
-        theta, y = kry.ritz()
-        lam = np.where(np.abs(theta) > 1e-300, sigma + 1.0 / theta, np.inf)
-        # guard band around [p, q): the census decides how many belong here,
-        # rounding in the Ritz values must not
-        cand = (lam >= p - pad) & (lam < q + pad)
+            if (kry.me < m_expect or kry.me == m_max
+                    or (kry.me - m_expect) % _CHECK_EVERY):
+                continue
+            theta, y, lam, cand = candidates()
+            est = _ritz_estimates(op.mat, sigma, kry, theta, y)
+            if np.count_nonzero(cand & (est <= 0.5 * tol)) >= m_expect:
+                vals, res, vecs, sel = certify(y, lam, cand)
+                if sel is not None:
+                    return vals[sel], res[sel], vecs[:, sel], matvecs, True
+        theta, y, lam, cand = candidates()
         if np.any(cand):
-            idx = np.nonzero(cand)[0]
-            vecs = kry.ritz_vectors(y[:, idx])
-            vals = lam[idx]
-            res = _residuals(op, vals, vecs)
-            good = np.nonzero(res <= tol)[0]
-            if len(good) >= m_expect:
-                if len(good) > m_expect:
-                    depth = np.minimum(vals[good] - p, q - vals[good])
-                    order = np.lexsort((res[good], -depth))
-                    good = good[order[:m_expect]]
-                order = np.argsort(vals[good])
-                sel = good[order]
+            vals, res, vecs, sel = certify(y, lam, cand)
+            if sel is not None:
                 return vals[sel], res[sel], vecs[:, sel], matvecs, True
             best = (vals, res, vecs)
         # restart on the most relevant Ritz vectors: largest |theta| maps

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -44,6 +46,22 @@ def test_residual_rejects_zero_vector():
     op = _random_herm(5, 1)
     with pytest.raises(ValueError):
         residual(op, 1.0, np.zeros(5))
+
+
+def test_residual_matches_compensated_sum():
+    # BLAS norms against an exactly rounded sum of squares, on plain and on
+    # badly scaled vectors (entries spread over 60 decades)
+    op = _random_herm(60, 8)
+    rng = np.random.default_rng(8)
+    for spread in (0.0, 30.0):
+        for _ in range(10):
+            v = rng.normal(size=60) + 1j * rng.normal(size=60)
+            v *= 10.0 ** rng.uniform(-spread, spread, size=60)
+            value = float(rng.normal()) * 10.0 ** rng.uniform(-spread, spread)
+            r = op.mat @ v - value * v
+            want = math.sqrt(math.fsum((r * r.conj()).real)
+                             / math.fsum((v * v.conj()).real))
+            assert residual(op, value, v) == pytest.approx(want, rel=1e-12)
 
 
 # ── Inertia counts ─────────────────────────────────────────────────────────
@@ -379,6 +397,108 @@ def test_recovered_total_checked_against_census(monkeypatch):
     assert not res.certified
     assert "census" in res.info.message
     assert not eigs_lowest(op, 5, method="lanczos").certified
+
+
+# ── The early stop of a shift-invert cycle ─────────────────────────────────
+
+
+def _full_cycle(m):
+    """Krylov steps of one shift-invert cycle run to its ceiling."""
+    return max(2 * m + 30, 60)
+
+
+def test_cycle_stops_before_its_ceiling():
+    op = _lattice_op(h=0.25)
+    assert op.n > eigensolve.DENSE_CUTOFF
+    want = eigs_window(op, 0.0, 4.0, method="dense")
+    got = eigs_window(op, 0.0, 4.0, tol=1e-9, method="lanczos")
+    _assert_matches_oracle(got, want, 1e-9)
+    assert got.info.iterations < _full_cycle(got.k)
+
+
+def test_estimates_cannot_certify(monkeypatch):
+    # estimates that always read "converged" make the cycle look at every
+    # check from m_expect columns on: only the explicit residuals may accept
+    monkeypatch.setattr(eigensolve, "_ritz_estimates",
+                        lambda mat, sigma, kry, theta, y: np.zeros_like(theta))
+    op = _lattice_op(h=0.25)
+    want = eigs_window(op, 0.0, 4.0, method="dense")
+    got = eigs_window(op, 0.0, 4.0, tol=1e-9, method="lanczos",
+                      return_vectors=True)
+    _assert_matches_oracle(got, want, 1e-9)
+    for i in range(got.k):
+        assert residual(op, got.eigenvalues[i], got.eigenvectors[:, i]) <= 1e-9
+
+
+def test_silent_estimates_run_the_full_cycle(monkeypatch):
+    # estimates that never fire leave the cycle to end at its ceiling, where
+    # the explicit residuals certify it as before the early stop existed
+    op = _lattice_op(h=0.25)
+    early = eigs_window(op, 0.0, 4.0, tol=1e-9, method="lanczos")
+    monkeypatch.setattr(eigensolve, "_ritz_estimates",
+                        lambda mat, sigma, kry, theta, y:
+                        np.full_like(theta, np.inf))
+    got = eigs_window(op, 0.0, 4.0, tol=1e-9, method="lanczos")
+    want = eigs_window(op, 0.0, 4.0, method="dense")
+    _assert_matches_oracle(got, want, 1e-9)
+    assert got.info.iterations == _full_cycle(got.k)
+    assert np.allclose(got.eigenvalues, early.eigenvalues, atol=1e-9)
+
+
+def _chain_pair(N):
+    """Kronecker sum of two identical N-chains and the chain's eigenvalues.
+
+    mu_i + mu_j = mu_j + mu_i is an exact double eigenvalue for i != j, and
+    mu_i + mu_(N-1-i) = 4 is N-fold.  One Krylov sequence sees a single copy
+    of each at first.
+    """
+    chain = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(N, N))
+    eye = sp.identity(N)
+    kron_sum = sp.kron(chain, eye) + sp.kron(eye, chain)
+    op = HermitianOperator.from_matrix(kron_sum, dimension=2)
+    return op, 2.0 - 2.0 * np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
+
+
+@st.composite
+def _multiplet_windows(draw):
+    op, mu = _chain_pair(draw(st.integers(16, 22)))
+    i, j = draw(st.lists(st.integers(0, len(mu) - 1), min_size=2, max_size=2,
+                         unique=True))
+    c = mu[i] + mu[j]
+    return op, c - draw(st.floats(0.0, 0.5)), c + draw(st.floats(0.0, 0.5))
+
+
+@_ORACLE
+@given(problem=_multiplet_windows())
+def test_window_with_exact_multiplet_matches_dense_oracle(problem):
+    op, a, b = problem
+    assert op.n > eigensolve.DENSE_CUTOFF
+    want = eigs_window(op, a, b, method="dense")
+    got = eigs_window(op, a, b, tol=1e-9, method="lanczos")
+    _assert_matches_oracle(got, want, 1e-9)
+
+
+def test_zero_width_window_on_multiplet():
+    # the slice is the padded window, 8e-12 wide: its shift must still keep
+    # its distance from the double and from the 16-fold eigenvalue
+    op, mu = _chain_pair(16)
+    for c, copies in ((mu[0] + mu[2], 2), (mu[3] + mu[12], 16)):
+        got = eigs_window(op, c, c, tol=1e-9, method="lanczos")
+        assert got.certified and got.k == copies, got.info.message
+        assert np.allclose(got.eigenvalues, c, atol=1e-9)
+        assert np.all(got.residuals <= 1e-9)
+
+
+def test_indefinite_windows_converge():
+    # windows of an indefinite dense operator whose solves stalled at
+    # residuals of 1e-9 to 2e-9 when the solves' LU forced diagonal pivots
+    op = _random_herm(300, 5)
+    w = np.linalg.eigvalsh(op.dense())
+    for j in (107, 171, 177):
+        got = eigs_window(op, float(w[j]), float(w[j + 7]), tol=1e-9,
+                          method="lanczos", seed=j)
+        assert got.certified and got.k == 8, (j, got.info.message)
+        assert np.allclose(got.eigenvalues, w[j:j + 8], atol=1e-8)
 
 
 def test_window_nonconvergence_carries_partial():
