@@ -69,9 +69,6 @@ class HermitianOperator:
     def dense(self):
         return self.mat.toarray()
 
-    def matvec(self, u):
-        return self.mat @ u
-
     def shifted(self, c):
         """Operator plus c times the identity (same bookkeeping)."""
         out = HermitianOperator(

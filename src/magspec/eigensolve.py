@@ -1,7 +1,6 @@
 """Spectral queries on Hermitian lattice operators.
 
-Two query styles, both answered by one certified path above a small size
-crossover (DENSE_CUTOFF rows) and by dense LAPACK at or below it:
+Two query styles, both answered by one certified path at every size:
 
 * eigs_lowest  -- k smallest eigenvalues.  A Gershgorin lower bound, where
   the inertia count is 0, and an upper shift widened and then bisected by
@@ -11,14 +10,16 @@ crossover (DENSE_CUTOFF rows) and by dense LAPACK at or below it:
   counts at the edges fix the census, inertia bisection splits it into
   slices, and shift-invert Lanczos recovers the pairs of each slice.
 
-method is "auto", "dense" (LAPACK, the oracle) or "lanczos" (the sliced
-path).  Both paths widen a window's edges outward by _EDGE_PAD * max|diag H|,
-so an eigenvalue on an edge is kept.  Completeness is certified by inertia
-counts, read from the diagonal pivots of _factor, the one sparse LU of
-H - sigma I that the slices and the resolvent probes also solve with (there
-with threshold pivots): the recovered pieces must add up to the census.  When no symmetric factorization succeeds,
-or the counts are inconsistent, results are returned with certified=False and
-the reason in info.message rather than silently trusted.
+method is "lanczos" (the sliced path, the default) or "dense" (LAPACK, kept
+only as the oracle that tests compare against).  Both paths widen a
+window's edges outward by _EDGE_PAD * max|diag H|, so an eigenvalue on an
+edge is kept.  Completeness is certified by inertia counts, read from the
+diagonal pivots of _factor, the one sparse LU of H - sigma I that the
+slices and the resolvent probes also solve with (there with threshold
+pivots): the recovered pieces must add up to the census.  When no
+symmetric factorization succeeds, or the counts are inconsistent, results
+are returned with certified=False and the reason in info.message rather
+than silently trusted.
 
 Every reported pair carries an explicitly computed residual
 || H v - lambda v || / || v || (BLAS 2-norms, column by column), and only
@@ -36,11 +37,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-# Rows at or below which "auto" answers with dense LAPACK.  Measured on 2-D
-# lattice operators with one BLAS thread: dense is faster for windows below
-# n ~ 170 and for lowest-1/lowest-10 below n ~ 230-250; above n ~ 250 the
-# sliced path wins both, by 3x at n = 470 and 10x or more from n = 840 on.
-DENSE_CUTOFF = 250
 _SLICE_MAX = 110          # eigenvalues per shift-invert slice
 _BREAKDOWN = 1e-13
 _BISECT_STEPS = 60        # halvings of the lowest-k bracket before settling
@@ -232,12 +228,14 @@ class _Krylov:
         self.Q = np.empty((n, m_max + 2), dtype=complex, order="F")
         self.P = np.zeros((m_max + 2, m_max + 2), dtype=complex)
         self.m = 0
+        self.full = False
 
     @property
     def me(self):
-        """Columns whose operator image has been projected (the last basis
-        column is always a continuation vector without one)."""
-        return max(0, self.m - 1)
+        """Columns whose operator image has been projected: all but the last,
+        a continuation vector without one, until the basis spans C^n; then
+        it is an exact invariant subspace and every column counts."""
+        return self.m if self.full else max(0, self.m - 1)
 
     def _random_unit(self):
         v = self.rng.standard_normal(self.n) + 1j * self.rng.standard_normal(self.n)
@@ -258,7 +256,7 @@ class _Krylov:
         return True
 
     def extend(self, apply_op):
-        """One Lanczos step from the last basis vector; returns beta."""
+        """One Lanczos step from the last basis vector."""
         m = self.m
         Q = self.Q[:, :m]
         w = apply_op(self.Q[:, m - 1])
@@ -271,16 +269,16 @@ class _Krylov:
         self.P[m - 1, :m] = np.conj(c_total)
         beta = np.linalg.norm(w)
         if beta < _BREAKDOWN * max(1.0, float(np.abs(c_total[-1]))):
-            # invariant subspace hit: restart direction from fresh noise
-            ok = self.seed_vector()
+            # invariant subspace hit: restart direction from fresh noise,
+            # unless the basis already spans C^n
             self.P[m, m - 1] = 0.0
             self.P[m - 1, m] = 0.0
-            return 0.0 if ok else None
+            self.full = not self.seed_vector()
+            return
         self.P[m, m - 1] = beta
         self.P[m - 1, m] = beta
         self.Q[:, m] = w / beta
         self.m += 1
-        return beta
 
     def ritz(self):
         me = self.me
@@ -298,6 +296,7 @@ class _Krylov:
         self.P[:] = 0.0
         self.P[:nk, :nk] = np.diag(theta_keep)
         self.m = nk
+        self.full = False
         return self.seed_vector(tail)
 
 
@@ -384,8 +383,7 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80):
     best = _empty_pairs(n)
     for cycle in range(max_restarts):
         while kry.me < m_max:
-            if kry.extend(solve) is None:
-                break
+            kry.extend(solve)
             matvecs += 1
             if (kry.me < m_expect or kry.me == m_max
                     or (kry.me - m_expect) % _CHECK_EVERY):
@@ -557,48 +555,45 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
                           f"inertia-certified count {ns}")
 
 
-def eigs_lowest(op, k, tol=1e-8, seed=0, method="auto", return_vectors=True):
+def eigs_lowest(op, k, tol=1e-8, seed=0, method="lanczos",
+                return_vectors=True):
     """k smallest eigenvalues with residual certificates.
 
-    method "auto" picks dense LAPACK for n <= DENSE_CUTOFF and the
-    inertia-bracketed shift-invert Lanczos path ("lanczos") above.  The
-    sliced result is certified when the pieces add up to the inertia census
-    of the bracket; otherwise certified is False and info.message says why.
-    On non-convergence raises NonConvergence carrying the partial result.
+    method "lanczos" brackets them by inertia counts and solves the bracket
+    by shift-invert Lanczos slices; "dense" is the LAPACK oracle.  The sliced
+    result is certified when the pieces add up to the inertia census of the
+    bracket; otherwise certified is False and info.message says why.  On
+    non-convergence raises NonConvergence carrying the partial result.
     """
     if k < 1 or k > op.n:
         raise ValueError(f"k must be in 1..{op.n}, got {k}")
-    if method not in ("auto", "dense", "lanczos"):
+    if method not in ("lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if op.n <= DENSE_CUTOFF else "lanczos"
     if method == "dense":
         return _dense_lowest(op, k, tol, return_vectors)
     return _lowest_sliced(op, k, tol, seed, return_vectors)
 
 
-def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="auto",
+def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
                 return_vectors=False):
     """Every eigenvalue in the closed window [a, b], with certified
     completeness when possible.
 
-    Both paths widen the edges outward by _EDGE_PAD * max|diag H|.  method
-    "auto" filters a dense solve ("dense") at or below DENSE_CUTOFF rows;
-    above it, inertia counts at the widened edges fix the census and
-    shift-invert Lanczos slices recover the pairs ("lanczos").  Raises
-    WindowOverflow when the census exceeds cap, and NonConvergence carrying
-    the partial result when a slice does not converge.  result.certified
-    reports whether the census was proven; when it was not, info.message
-    says why, and unusable edge counts give no pairs.
+    Both methods widen the edges outward by _EDGE_PAD * max|diag H|.  With
+    method "lanczos", inertia counts at the widened edges fix the census and
+    shift-invert Lanczos slices recover the pairs; "dense" filters a full
+    LAPACK solve and is the oracle.  Raises WindowOverflow when the census
+    exceeds cap, and NonConvergence carrying the partial result when a slice
+    does not converge.  result.certified reports whether the census was
+    proven; when it was not, info.message says why, and unusable edge counts
+    give no pairs.
     """
     if not b >= a:
         raise ValueError(f"empty window: [{a}, {b}]")
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    if method not in ("auto", "dense", "lanczos"):
+    if method not in ("lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "dense" if op.n <= DENSE_CUTOFF else "lanczos"
     pad = _EDGE_PAD * _operator_scale(op.mat)
     lo, hi = a - pad, b + pad
     if method == "dense":

@@ -118,9 +118,6 @@ class DomainSpec:
             if n != self.dimension:
                 raise ValueError(f"obstacle center has {n} components for dimension {self.dimension}")
 
-    def with_truncation_radius(self, radius):
-        return DomainSpec(self.dimension, float(radius), self.truncation_shape, self.obstacle)
-
     def clearance(self):
         """Distance from the obstacle to the truncation boundary (inf if no obstacle)."""
         if self.obstacle is None:
@@ -299,12 +296,10 @@ def _collect_outer_faces(index, d):
     for a in range(d):
         for s in (1, -1):
             shifted = np.roll(padded, -s, axis=a)[core]
-            here = index[...]
-            mask = (here >= 0) & (shifted < 0)
-            node.append(here[mask])
+            mask = (index >= 0) & (shifted < 0)
+            node.append(index[mask])
             axis.append(np.full(int(mask.sum()), a, dtype=np.int8))
             sign.append(np.full(int(mask.sum()), s, dtype=np.int8))
-    order = None
     node = np.concatenate(node)
     axis = np.concatenate(axis)
     sign = np.concatenate(sign)

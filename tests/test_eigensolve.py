@@ -90,12 +90,12 @@ def test_chain_closed_form():
     got = eigs_lowest(op, 12, return_vectors=False)
     want = 4.0 / h**2 * np.sin(np.arange(1, 13) * np.pi / (2 * (n + 1))) ** 2
     assert np.allclose(got.eigenvalues, want, rtol=1e-12)
-    assert got.info.method == "dense"
+    assert got.info.method == "lanczos"
 
 
 def test_dense_lowest_matches_eigh():
     op = _random_herm(70, 2)
-    res = eigs_lowest(op, 9)
+    res = eigs_lowest(op, 9, method="dense")
     want = np.linalg.eigvalsh(op.dense())[:9]
     assert np.allclose(res.eigenvalues, want, atol=1e-11)
     assert np.all(res.residuals < 1e-11)
@@ -134,6 +134,8 @@ def test_lowest_validation():
         eigs_lowest(op, 11)
     with pytest.raises(ValueError):
         eigs_lowest(op, 2, method="arnoldi")
+    with pytest.raises(ValueError):
+        eigs_lowest(op, 2, method="auto")
 
 
 def test_nonconvergence_carries_partial():
@@ -216,6 +218,8 @@ def test_window_validation():
         eigs_window(op, 0.0, 1.0, method="filter")
     with pytest.raises(ValueError):
         eigs_window(op, 0.0, 1.0, method="sliced")
+    with pytest.raises(ValueError):
+        eigs_window(op, 0.0, 1.0, method="auto")
 
 
 def test_window_vectors_and_residuals():
@@ -286,14 +290,42 @@ def test_window_matches_dense_oracle(op, a, width):
     _assert_matches_oracle(got, want, 1e-9)
 
 
-def test_auto_routes_above_crossover_to_sliced():
-    op = _lattice_op(h=0.2)
-    assert op.n > eigensolve.DENSE_CUTOFF
-    low = eigs_lowest(op, 6, return_vectors=False)
+@pytest.mark.parametrize("op", [_random_herm(1, 0), _random_herm(12, 1),
+                                _lattice_op(h=0.4), _lattice_op(h=0.2)],
+                         ids=lambda op: f"n{op.n}")
+def test_default_is_sliced_at_every_size(op):
+    k = min(6, op.n)
+    low = eigs_lowest(op, k, return_vectors=False)
     win = eigs_window(op, 0.0, 3.0)
     assert low.info.method == win.info.method == "lanczos"
-    _assert_matches_oracle(low, eigs_lowest(op, 6, method="dense"), 1e-8)
+    _assert_matches_oracle(low, eigs_lowest(op, k, method="dense"), 1e-8)
     _assert_matches_oracle(win, eigs_window(op, 0.0, 3.0, method="dense"), 1e-8)
+
+
+def _small_cases():
+    """Random Hermitian operators of every size up to 40 rows and two exact
+    multiplets.  Once a shift-invert cycle's ceiling reaches n, its basis
+    fills the space, and that basis must count as fully projected."""
+    cases = [pytest.param(_random_herm(n, 100 + n), id=f"random-{n}")
+             for n in range(1, 41)]
+    for name, d in [("diag123", [1.0, 2.0, 3.0]), ("diag4x16", [4.0] * 16)]:
+        cases.append(pytest.param(HermitianOperator.from_matrix(sp.diags(d)),
+                                  id=name))
+    return cases
+
+
+@pytest.mark.parametrize("op", _small_cases())
+def test_small_operators_match_dense_oracle(op):
+    for k in range(1, op.n + 1):
+        want = eigs_lowest(op, k, method="dense", return_vectors=False)
+        got = eigs_lowest(op, k, tol=1e-9, method="lanczos",
+                          return_vectors=False)
+        _assert_matches_oracle(got, want, 1e-9)
+    lo, hi = eigensolve._gershgorin_bounds(op.mat)
+    for a, b in [(lo, hi), (lo - 1.0, hi + 1.0), (0.0, 4.0), (-0.5, 0.5)]:
+        want = eigs_window(op, a, b, method="dense")
+        got = eigs_window(op, a, b, tol=1e-9, method="lanczos")
+        _assert_matches_oracle(got, want, 1e-9)
 
 
 def test_lowest_multiplet_straddling_k():
@@ -409,7 +441,6 @@ def _full_cycle(m):
 
 def test_cycle_stops_before_its_ceiling():
     op = _lattice_op(h=0.25)
-    assert op.n > eigensolve.DENSE_CUTOFF
     want = eigs_window(op, 0.0, 4.0, method="dense")
     got = eigs_window(op, 0.0, 4.0, tol=1e-9, method="lanczos")
     _assert_matches_oracle(got, want, 1e-9)
@@ -472,7 +503,6 @@ def _multiplet_windows(draw):
 @given(problem=_multiplet_windows())
 def test_window_with_exact_multiplet_matches_dense_oracle(problem):
     op, a, b = problem
-    assert op.n > eigensolve.DENSE_CUTOFF
     want = eigs_window(op, a, b, method="dense")
     got = eigs_window(op, a, b, tol=1e-9, method="lanczos")
     _assert_matches_oracle(got, want, 1e-9)
