@@ -16,16 +16,21 @@ window's edges outward by _EDGE_PAD * max|diag H|, so an eigenvalue on an
 edge is kept.  Completeness is certified by inertia counts, read from the
 diagonal pivots of _factor, the one sparse LU of H - sigma I that the
 slices and the resolvent probes also solve with (there with threshold
-pivots): the recovered pieces must add up to the census.  When no
-symmetric factorization succeeds, or the counts are inconsistent, results
-are returned with certified=False and the reason in info.message rather
-than silently trusted.
+pivots): the recovered pieces must add up to the census.  A shift outside
+the Gershgorin bounds, widened by their rounding, is counted without a
+factorization: 0 below them, n above.  When no symmetric factorization
+succeeds, or the counts are inconsistent, results are returned with
+certified=False and the reason in info.message rather than silently
+trusted.
 
 Every reported pair carries an explicitly computed residual
 || H v - lambda v || / || v || (BLAS 2-norms, column by column), and only
 that residual certifies a pair.  A shift-invert cycle stops once residual
 estimates read off the Krylov relation say the slice census can be met;
 the explicit residuals then decide, and the cycle extends if they refuse.
+Each Krylov step is reorthogonalized against the whole basis: one full
+Gram-Schmidt pass after the three-term step, repeated only when the pass
+cancelled most of the vector.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ _CHECK_EVERY = 8          # Krylov steps between looks at the Ritz estimates
 _SHIFT_GAP = 1e-7         # slice width below which the shift is placed as if
                           # this wide, x max|diag H|
 _SOLVE_PIVOT = 0.1        # least diagonal pivot of the solves' LU, x column
+_GS_PASSES = 3            # most full Gram-Schmidt passes per Krylov step
+_DGKS = 2.0 ** -0.5       # a pass keeping less of the norm is repeated
 
 
 @dataclass
@@ -121,10 +128,36 @@ def _operator_scale(mat):
 
 
 def _gershgorin_bounds(mat):
-    """(lo, hi) with every eigenvalue of the Hermitian mat in [lo, hi]."""
+    """(lo, hi) with every eigenvalue of the Hermitian mat in [lo, hi],
+    rounding of their computation included.
+
+    Row i confines the spectrum to [d_i - rho_i, d_i + rho_i], d_i the real
+    part of the diagonal entry and rho_i = A_i - |h_ii|, A_i = sum_j |h_ij|.
+    Computed in floating point (unit roundoff u, eps = 2u), with r_i terms
+    in row i: each |h_ij| errs by at most eps |h_ij| (complex magnitudes
+    are within an ulp; real ones are exact), which costs 2u A_i in A_i and
+    2u A_i again in the |h_ii| subtracted from it; summing the r_i terms adds
+    at most (r_i - 1) u A_i, in any order; the two subtractions add u A_i
+    each, since neither result exceeds A_i.  So each computed end errs by at
+    most (r_i + 5) u A_i, up to terms of order (r_i u)^2.  The bounds are
+    widened by margin = (r + 5) eps max_i A_i, r the most terms in a row:
+    twice that error, which also covers the rounding of the widening itself.
+
+    For lattice operators (r = 5 in 2-D, 7 in 3-D, A_i <= 2 max|diag H|)
+    the margin is at most 6e-15 max|diag H|, far below the window pad
+    _EDGE_PAD max|diag H|: a window edge at 0 on a nonnegative operator
+    lies below lo.  Dense rows make r, and so the margin, larger; that only
+    makes the bounds looser, never wrong.
+    """
+    a = abs(mat).tocsr()
     diag = mat.diagonal()
-    radius = np.asarray(abs(mat).sum(axis=1)).ravel() - np.abs(diag)
-    return float(np.min(diag.real - radius)), float(np.max(diag.real + radius))
+    row_abs = np.asarray(a.sum(axis=1)).ravel()
+    radius = row_abs - np.abs(diag)
+    terms = int(np.max(np.diff(a.indptr), initial=0))
+    margin = ((terms + 5) * np.finfo(float).eps
+              * float(np.max(row_abs, initial=0.0)))
+    return (float(np.min(diag.real - radius)) - margin,
+            float(np.max(diag.real + radius)) + margin)
 
 
 def _factor(mat, sigma, pivot_thresh=0.0):
@@ -152,14 +185,24 @@ def shifted_solver(mat, sigma):
 def inertia_count(op, s, _scale=None, direction=1.0):
     """Number of eigenvalues of op strictly below s, or None if uncertifiable.
 
-    Computed from the sign pattern of the pivots of a symmetric-pivot sparse
-    factorization of H - s I.  If the factorization cannot be trusted (shift
-    too close to an eigenvalue), the shift is nudged a few times before
-    giving up.  direction controls which way the nudge moves: counting for
-    the lower edge of a closed window must nudge down, so that an eigenvalue
-    sitting exactly on the edge stays inside the window, while an upper edge
-    must nudge up for the same reason.
+    Below the Gershgorin bound lo the count is 0, and above hi it is n, with
+    no factorization.  _gershgorin_bounds widens both by a margin proven to
+    exceed their rounding, at most 6e-15 max|diag H| on lattice operators,
+    so a shift at or inside an exact bound still factorizes, while a window
+    edge padded below 0 on a nonnegative operator does not.  A shift
+    within the bounds is counted from the sign pattern of the pivots of a
+    symmetric-pivot sparse factorization of H - s I.  If the factorization
+    cannot be trusted (shift too close to an eigenvalue), the shift is
+    nudged a few times before giving up.  direction controls which way the
+    nudge moves: counting for the lower edge of a closed window must nudge
+    down, so that an eigenvalue sitting exactly on the edge stays inside the
+    window, while an upper edge must nudge up for the same reason.
     """
+    lo, hi = _gershgorin_bounds(op.mat)
+    if s < lo:
+        return 0
+    if s > hi:
+        return op.n
     mat = op.mat.tocsc()
     scale = _scale if _scale is not None else _operator_scale(mat)
     nudge = _EDGE_PAD * scale * (1.0 if direction >= 0 else -1.0)
@@ -215,10 +258,18 @@ def _dense_window(op, a, b, lo, hi, tol, cap, return_vectors):
 class _Krylov:
     """Orthonormal basis plus the exact projected matrix, grown column-wise.
 
-    Full reorthogonalization (two classical Gram-Schmidt passes against the
-    entire basis) keeps the projection exact, which is what stops ghost
-    copies inside near-degenerate Landau clusters.  Projections are formed
-    as (w^H Q)^H, which reads the basis in place; Q^H w would copy it.
+    Full reorthogonalization keeps the projection exact, which is what stops
+    ghost copies inside near-degenerate Landau clusters.  A step first takes
+    out the last two basis columns, the three-term recurrence, and then runs
+    classical Gram-Schmidt passes against the entire basis: one pass, and
+    another only while a pass leaves less than 1/sqrt(2) of the norm it
+    started with (the criterion of Daniel, Gragg, Kaufman & Stewart, Math.
+    Comp. 30 (1976) 772-795), at most _GS_PASSES.  After the local step the
+    full pass mostly removes rounding, so one pass is the rule; a second is
+    run when the vector lay mostly inside the basis already, such as a
+    restart's continuation close to the kept Ritz vectors or a step near
+    breakdown.  Projections are formed as (w^H Q)^H, which reads the basis
+    in place; Q^H w would copy it.
     """
 
     def __init__(self, n, m_max, rng):
@@ -241,13 +292,24 @@ class _Krylov:
         v = self.rng.standard_normal(self.n) + 1j * self.rng.standard_normal(self.n)
         return v / np.linalg.norm(v)
 
+    def _orthogonalize(self, w, coef, norm):
+        """Classical Gram-Schmidt passes of w, of 2-norm norm, against the
+        whole basis, repeated by the DGKS criterion.  Adds the coefficients
+        to coef; returns w and its new norm."""
+        Q = self.Q[:, :self.m]
+        for _ in range(_GS_PASSES):
+            c = (w.conj() @ Q).conj()
+            w = w - Q @ c
+            coef += c
+            start, norm = norm, np.linalg.norm(w)
+            if norm >= _DGKS * start:
+                break
+        return w, norm
+
     def seed_vector(self, v=None):
         v = self._random_unit() if v is None else v / np.linalg.norm(v)
         if self.m > 0:
-            Q = self.Q[:, :self.m]
-            for _ in range(2):
-                v = v - Q @ (v.conj() @ Q).conj()
-            nv = np.linalg.norm(v)
+            v, nv = self._orthogonalize(v, np.zeros(self.m, complex), 1.0)
             if nv < _BREAKDOWN:
                 return False
             v = v / nv
@@ -258,16 +320,15 @@ class _Krylov:
     def extend(self, apply_op):
         """One Lanczos step from the last basis vector."""
         m = self.m
-        Q = self.Q[:, :m]
         w = apply_op(self.Q[:, m - 1])
         c_total = np.zeros(m, dtype=complex)
-        for _ in range(2):
-            c = (w.conj() @ Q).conj()
-            w = w - Q @ c
-            c_total += c
+        local = self.Q[:, max(0, m - 2):m]
+        c = (w.conj() @ local).conj()
+        w = w - local @ c
+        c_total[max(0, m - 2):] = c
+        w, beta = self._orthogonalize(w, c_total, np.linalg.norm(w))
         self.P[:m, m - 1] = c_total
         self.P[m - 1, :m] = np.conj(c_total)
-        beta = np.linalg.norm(w)
         if beta < _BREAKDOWN * max(1.0, float(np.abs(c_total[-1]))):
             # invariant subspace hit: restart direction from fresh noise,
             # unless the basis already spans C^n
@@ -324,12 +385,14 @@ def _ritz_estimates(mat, sigma, kry, theta, y):
         return abs(kry.P[me, me - 1]) * r * np.abs(y[me - 1]) / np.abs(theta)
 
 
-def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80):
+def _slice_eigs(op, p, q, m_expect, tol, rng, return_vectors,
+                max_restarts=80):
     """All m_expect eigenvalues in [p, q) by shift-invert Lanczos.
 
-    Returns (values, residuals, vectors, matvecs, converged).  When the
-    restarts run out, converged is False and the best m_expect candidates of
-    the last cycle (smallest residuals) are returned instead.
+    Returns (values, residuals, vectors, matvecs, converged); vectors is an
+    n x 0 block unless return_vectors.  When the restarts run out, converged
+    is False and the best m_expect candidates of the last cycle (smallest
+    residuals) are returned instead.
     Near-degenerate clusters inside the slice are magnified by the spectral
     map 1/(lambda - sigma), so locking plus restarts recovers every copy.
     Membership in the half-open slice [p, q) is decided with a small guard
@@ -379,6 +442,10 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80):
             good = good[order[:m_expect]]
         return vals, res, vecs, good[np.argsort(vals[good])]
 
+    def pairs(vals, res, vecs, sel, converged):
+        kept = vecs[:, sel] if return_vectors else np.empty((n, 0), complex)
+        return vals[sel], res[sel], kept, matvecs, converged
+
     matvecs = 0
     best = _empty_pairs(n)
     for cycle in range(max_restarts):
@@ -393,12 +460,12 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80):
             if np.count_nonzero(cand & (est <= 0.5 * tol)) >= m_expect:
                 vals, res, vecs, sel = certify(y, lam, cand)
                 if sel is not None:
-                    return vals[sel], res[sel], vecs[:, sel], matvecs, True
+                    return pairs(vals, res, vecs, sel, True)
         theta, y, lam, cand = candidates()
         if np.any(cand):
             vals, res, vecs, sel = certify(y, lam, cand)
             if sel is not None:
-                return vals[sel], res[sel], vecs[:, sel], matvecs, True
+                return pairs(vals, res, vecs, sel, True)
             best = (vals, res, vecs)
         # restart on the most relevant Ritz vectors: largest |theta| maps
         # closest to sigma, so the slice interior is kept preferentially
@@ -410,19 +477,20 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, max_restarts=80):
     vals, res, vecs = best
     sel = np.argsort(res, kind="stable")[:m_expect]
     sel = sel[np.argsort(vals[sel])]
-    return vals[sel], res[sel], vecs[:, sel], matvecs, False
+    return pairs(vals, res, vecs, sel, False)
 
 
-def _sliced(op, a, b, na, nb, tol, rng, scale):
+def _sliced(op, a, b, na, nb, tol, rng, scale, return_vectors):
     """The nb - na eigenvalues in [a, b), given the inertia counts na at a and
     nb at b: inertia bisection down to slices of at most _SLICE_MAX, then
     shift-invert Lanczos per slice.
 
     Returns (values, residuals, vectors, matvecs, problem, converged), sorted
-    by value.  problem is "" when the census is proven: every bisection count
-    lies between the counts of its sub-window's ends and the recovered pieces
-    add up to nb - na.  Otherwise it names what failed.  converged is False
-    when a slice ran out of restarts; the pairs are then those found so far.
+    by value; vectors is an n x 0 block unless return_vectors.  problem is ""
+    when the census is proven: every bisection count lies between the counts
+    of its sub-window's ends and the recovered pieces add up to nb - na.
+    Otherwise it names what failed.  converged is False when a slice ran out
+    of restarts; the pairs are then those found so far.
     """
     floor = 1e-10 * scale           # narrower sub-windows are not split
     pieces = []
@@ -436,7 +504,8 @@ def _sliced(op, a, b, na, nb, tol, rng, scale):
         if m == 0:
             continue
         if m <= _SLICE_MAX or q - p <= floor:
-            vals, res, vecs, mv, converged = _slice_eigs(op, p, q, m, tol, rng)
+            vals, res, vecs, mv, converged = _slice_eigs(op, p, q, m, tol, rng,
+                                                         return_vectors)
             matvecs += mv
             pieces.append((vals, res, vecs))
             continue
@@ -455,17 +524,17 @@ def _sliced(op, a, b, na, nb, tol, rng, scale):
             continue
         stack.append((p, mid, np_, nm))
         stack.append((mid, q, nm, nq))
+    vals, res, vecs = _empty_pairs(op.n)
     if pieces:
         vals = np.concatenate([x[0] for x in pieces])
-        res = np.concatenate([x[1] for x in pieces])
-        vecs = np.concatenate([x[2] for x in pieces], axis=1)
-    else:
-        vals, res, vecs = _empty_pairs(op.n)
-    order = np.argsort(vals, kind="stable")
+        order = np.argsort(vals, kind="stable")
+        vals = vals[order]
+        res = np.concatenate([x[1] for x in pieces])[order]
+        if return_vectors:
+            vecs = np.concatenate([x[2] for x in pieces], axis=1)[:, order]
     if converged and len(vals) != nb - na:
         problems.append(f"recovered {len(vals)} eigenvalues, census {nb - na}")
-    return (vals[order], res[order], vecs[:, order], matvecs,
-            "; ".join(problems), converged)
+    return vals, res, vecs, matvecs, "; ".join(problems), converged
 
 
 def _sliced_result(op, found, tol, return_vectors, claim, window=None):
@@ -503,7 +572,7 @@ def _window_sliced(op, a, b, lo, hi, tol, cap, seed, return_vectors):
     if m_w > cap:
         raise WindowOverflow(
             f"window [{a}, {b}] holds {m_w} eigenvalues, cap is {cap}", m_w)
-    found = _sliced(op, lo, hi, na, nb, tol, rng, scale)
+    found = _sliced(op, lo, hi, na, nb, tol, rng, scale, return_vectors)
     return _sliced_result(op, found, tol, return_vectors,
                           f"window [{a}, {b}]: shift-invert slices, "
                           f"inertia-certified count {m_w}", window=(a, b))
@@ -548,7 +617,8 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
             s, ns = mid, nm
         else:
             below = mid
-    vals, res, vecs, *rest = _sliced(op, lo, s, 0, ns, tol, rng, scale)
+    vals, res, vecs, *rest = _sliced(op, lo, s, 0, ns, tol, rng, scale,
+                                     return_vectors)
     return _sliced_result(op, (vals[:k], res[:k], vecs[:, :k], *rest), tol,
                           return_vectors,
                           f"lowest-{k}: shift-invert slices below {s:.6g}, "

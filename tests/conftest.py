@@ -1,9 +1,12 @@
-"""Shared test plumbing: the acceptance summary block and the CLI runner."""
+"""Shared test plumbing: the acceptance summary block, the CLI runner and
+the factorisation counter."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 acceptance_lines = []
 
@@ -25,6 +28,24 @@ def run_cli(*args, **kwargs):
     return subprocess.run([sys.executable, "-m", "magspec.cli", *args],
                           capture_output=True, text=True, env=package_env(),
                           **kwargs)
+
+
+@pytest.fixture
+def lu_counter(monkeypatch):
+    """The shifts of the sparse factorisations eigensolve makes during the
+    test, in order: ``len(lu_counter)`` is the count.  Wraps
+    ``eigensolve._factor``, the one ``splu`` call of the package."""
+    from magspec import eigensolve
+
+    shifts = []
+    true_factor = eigensolve._factor
+
+    def counting(mat, sigma, *args, **kwargs):
+        shifts.append(sigma)
+        return true_factor(mat, sigma, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "_factor", counting)
+    return shifts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

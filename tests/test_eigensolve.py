@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,104 @@ def test_inertia_on_indefinite_matrix():
     w = np.linalg.eigvalsh(op.dense())
     s = 0.5 * (w[39] + w[40])
     assert inertia_count(op, s) == 40
+
+
+def _dense_count(op, s):
+    return int(np.sum(np.linalg.eigvalsh(op.dense()) < s))
+
+
+def test_window_in_one_slice_costs_two_factorisations(lu_counter):
+    # the lower edge of [0, b] lies below the Gershgorin bound of a
+    # nonnegative lattice operator: the upper edge and the slice factorise
+    op = _lattice_op(h=0.25)
+    want = eigs_window(op, 0.0, 4.0, method="dense")
+    got = eigs_window(op, 0.0, 4.0, tol=1e-9, method="lanczos")
+    _assert_matches_oracle(got, want, 1e-9)
+    assert got.k <= eigensolve._SLICE_MAX
+    assert len(lu_counter) == 2
+
+
+def test_negative_gamma_edges_above_the_bound_factorise(lu_counter):
+    # gamma < 0 pulls eigenvalues below 0 and the Gershgorin bound further
+    # down: edges above the bound are counted from a factorisation, also
+    # those below 0 and those just above the bound
+    op = _lattice_op(h=0.3, gamma=-1.0)
+    lo, _ = eigensolve._gershgorin_bounds(op.mat)
+    w = np.linalg.eigvalsh(op.dense())
+    assert lo < w[0] < w[1] < 0.0
+    pad = eigensolve._EDGE_PAD * eigensolve._operator_scale(op.mat)
+    for a, b in ((0.5 * (w[0] + w[1]), 3.0), (0.0, 3.0),
+                 (lo + 1.5 * pad, 1.0)):
+        lu_counter.clear()
+        want = eigs_window(op, a, b, method="dense")
+        got = eigs_window(op, a, b, tol=1e-9, method="lanczos")
+        _assert_matches_oracle(got, want, 1e-9)
+        assert len(lu_counter) == 3, (a, b)
+
+
+def test_eigenvalues_on_the_bounds_are_counted():
+    # diag(0, 1, 2) has its extreme eigenvalues exactly on its Gershgorin
+    # bounds: a shift within the rounding margin above 0 or below 2 still
+    # counts them, and so does a window starting at 0
+    op = HermitianOperator.from_matrix(sp.diags([0.0, 1.0, 2.0]))
+    lo, hi = eigensolve._gershgorin_bounds(op.mat)
+    margin = -lo
+    pad = eigensolve._EDGE_PAD * eigensolve._operator_scale(op.mat)
+    assert 0.0 < margin < 0.01 * pad and 0.0 < hi - 2.0 < 0.01 * pad
+    # a shift closer to an eigenvalue than the pivots can resolve is nudged
+    # along direction, so the one just below 2 is nudged down
+    for s, direction in ((-2.0 * margin, 1.0), (0.5 * margin, 1.0),
+                         (0.5 * pad, 1.0), (1.5, 1.0), (2.0 - 0.5 * pad, -1.0),
+                         (2.0 - 0.5 * margin, -1.0), (2.0 + 2.0 * margin, 1.0)):
+        got = inertia_count(op, s, direction=direction)
+        assert got == _dense_count(op, s), s
+    for a, b in ((0.0, 1.0), (0.0, 0.0), (1.0, 2.0)):
+        want = eigs_window(op, a, b, method="dense")
+        got = eigs_window(op, a, b, tol=1e-9, method="lanczos")
+        _assert_matches_oracle(got, want, 1e-9)
+    assert np.allclose(eigs_window(op, 0.0, 1.0).eigenvalues, [0.0, 1.0])
+
+
+def _magnitude_rounded_down():
+    """z = x + iy, small integers, whose computed |z| is below the exact one,
+    and that computed |z|."""
+    for x in range(1, 8):
+        for y in range(1, 8):
+            z = complex(x, y)
+            h = float(np.abs(np.array([z]))[0])
+            if Fraction(h) ** 2 < x * x + y * y:
+                return z, h
+    raise AssertionError("every magnitude rounded up")
+
+
+def test_shift_within_the_margin_factorises(lu_counter):
+    # [[h, -z], [-conj(z), h]] with h the computed |z|, rounded down: the
+    # computed Gershgorin bound is h - h = 0, yet the exact lowest eigenvalue
+    # h - |z| lies below it by rounding.  Halfway between them one eigenvalue
+    # lies below the shift, and only the factorisation may count it
+    z, h = _magnitude_rounded_down()
+    op = HermitianOperator.from_matrix(np.array([[h, -z],
+                                                 [-z.conjugate(), h]]))
+    z2 = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    s = float((Fraction(h) ** 2 - z2) / (4 * Fraction(h)))
+    assert s < 0.0 and (Fraction(h) - Fraction(s)) ** 2 < z2
+    assert inertia_count(op, s) == 1
+    assert len(lu_counter) >= 1
+    lu_counter.clear()
+    assert inertia_count(op, eigensolve._gershgorin_bounds(op.mat)[0] * 2) == 0
+    assert not lu_counter
+
+
+def test_whole_spectrum_window_factorises_only_its_slice(lu_counter):
+    # both edges lie outside the Gershgorin bounds: the counts are 0 and n
+    # with no factorisation, and only the slice's solves factorise
+    op = _random_herm(12, 1)
+    lo, hi = eigensolve._gershgorin_bounds(op.mat)
+    want = eigs_window(op, lo - 1.0, hi + 1.0, method="dense")
+    got = eigs_window(op, lo - 1.0, hi + 1.0, tol=1e-9, method="lanczos")
+    _assert_matches_oracle(got, want, 1e-9)
+    assert got.k == op.n
+    assert len(lu_counter) == 1
 
 
 # ── Lowest-k queries ───────────────────────────────────────────────────────
@@ -375,6 +474,21 @@ def test_bisection_above_slice_max(monkeypatch):
     assert len(shifts) > 2          # the edges plus at least one bisection
 
 
+def test_vectors_follow_their_values_across_slices():
+    # pieces of several slices are merged and sorted by value: each vector
+    # must stay with its value, and a query without vectors returns none
+    op = _lattice_op(h=0.3)
+    k = eigensolve._SLICE_MAX + 20
+    got = eigs_lowest(op, k, tol=1e-9, method="lanczos", return_vectors=True)
+    assert got.certified and got.eigenvectors.shape == (op.n, k)
+    for i in range(k):
+        assert residual(op, got.eigenvalues[i], got.eigenvectors[:, i]) \
+            == pytest.approx(got.residuals[i], abs=1e-12)
+    bare = eigs_lowest(op, k, tol=1e-9, method="lanczos", return_vectors=False)
+    assert bare.eigenvectors is None
+    assert np.allclose(bare.eigenvalues, got.eigenvalues, atol=1e-9)
+
+
 def test_non_monotone_count_is_uncertified(monkeypatch):
     # a bisection count outside the counts of its sub-window's ends proves
     # nothing: the census must not be reported as certified
@@ -539,3 +653,43 @@ def test_window_nonconvergence_carries_partial():
     assert part is not None and not part.certified
     assert not part.info.converged
     assert part.k > 0 and np.all(np.diff(part.eigenvalues) >= 0)
+
+
+# ── Reorthogonalisation ────────────────────────────────────────────────────
+
+
+def _orthonormality_loss(kry):
+    Q = kry.Q[:, :kry.m]
+    return float(np.max(np.abs(Q.conj().T @ Q - np.eye(kry.m))))
+
+
+@pytest.mark.parametrize("case", ["lattice", "multiplet"])
+def test_krylov_basis_stays_orthonormal(case):
+    # a full shift-invert cycle, a restart and a second cycle, on the
+    # h = 0.25 lattice operator and around the 16-fold eigenvalue 4 of a
+    # Kronecker sum.  The restart's continuation lies within 1e-6 of the
+    # kept Ritz space: one Gram-Schmidt pass would leave it about 1e-10
+    # from orthogonal, so the pass must be repeated
+    if case == "lattice":
+        op, a, b = _lattice_op(h=0.25), 0.0, 4.0
+    else:
+        op, mu = _chain_pair(16)
+        a, b = mu[3] + mu[12] - 0.3, mu[3] + mu[12] + 0.3
+    solve = eigensolve.shifted_solver(op.mat, a + 0.5137 * (b - a))
+    kry = eigensolve._Krylov(op.n, 60, np.random.default_rng(0))
+    kry.seed_vector()
+    while kry.me < kry.m_max:
+        kry.extend(solve)
+    assert _orthonormality_loss(kry) <= 1e-12
+    theta, y = kry.ritz()
+    keep = np.argsort(-np.abs(theta))[:30]
+    tail = (kry.ritz_vectors(y[:, keep[:1]])[:, 0]
+            + 1e-6 * kry.Q[:, kry.m - 1])
+    assert kry.restart(y[:, keep], theta[keep], tail=tail)
+    assert _orthonormality_loss(kry) <= 1e-12
+    while kry.me < kry.m_max:
+        kry.extend(solve)
+    assert _orthonormality_loss(kry) <= 1e-12
+    want = eigs_window(op, a, b, method="dense")
+    got = eigs_window(op, a, b, tol=1e-9, method="lanczos")
+    _assert_matches_oracle(got, want, 1e-9)
