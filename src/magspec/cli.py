@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -127,7 +127,8 @@ def _obstacle_from(settings, prefix, where):
     kind = settings.get(prefix, "none")
     if kind == "none":
         return None
-    center = settings.get(prefix + ".center", (0.0,) * settings.get("dimension", 2))
+    center = settings.get(prefix + ".center",
+                          (0.0,) * settings.get("dimension", RunConfig.dimension))
     if kind == "disk":
         if prefix + ".radius" not in settings:
             raise ConfigError(f"{where}: {prefix}.radius required for a disk")
@@ -151,7 +152,7 @@ def _field_from(settings, prefix, dimension, where):
 def build_configs(settings, where="config"):
     """Parsed settings -> (experiment, RunConfig, extras dict)."""
     experiment = settings.get("experiment", "spectrum")
-    dim = settings.get("dimension", 2)
+    dim = settings.get("dimension", RunConfig.dimension)
     extras = {
         "radii": settings.get("radii"),
         "diff_bound": settings.get("diff_bound", 10),
@@ -159,23 +160,14 @@ def build_configs(settings, where="config"):
                    settings.get("landau.dimension", dim),
                    settings.get("landau.cutoff", 6.0)),
     }
+    # RunConfig holds the defaults, so it gets only what the file sets; the
+    # file's obstacle and field name kinds, built into objects here
+    given = {f.name: settings[f.name] for f in fields(RunConfig)
+             if f.name in settings}
     try:
-        cfg = RunConfig(
-            dimension=dim,
-            truncation_radius=settings.get("truncation_radius", 8.0),
-            truncation_shape=settings.get("truncation_shape", "disk"),
-            obstacle=_obstacle_from(settings, "obstacle", where),
-            fieldspec=_field_from(settings, "field", dim, where),
-            gamma=settings.get("gamma", 0.0),
-            boundary=settings.get("boundary", "robin"),
-            h=settings.get("h", 0.15),
-            window=settings.get("window", (0.0, 6.0)),
-            k=settings.get("k", 20),
-            delta=settings.get("delta", 0.15),
-            tol=settings.get("tol", 1e-8),
-            cap=settings.get("cap", 2000),
-            seed=settings.get("seed", 0),
-        )
+        given.update(obstacle=_obstacle_from(settings, "obstacle", where),
+                     fieldspec=_field_from(settings, "field", dim, where))
+        cfg = RunConfig(**given)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{where}: {e}")
     if experiment in ("ladder", "compare") and extras["radii"] is None:

@@ -3,12 +3,16 @@
 Two query styles, both answered by one certified path at every size:
 
 * eigs_lowest  -- k smallest eigenvalues.  A Gershgorin lower bound, where
-  the inertia count is 0, and an upper shift widened and then bisected by
+  the inertia count is 0, and an upper shift widened and then halved by
   inertia counts bracket a window holding at least k eigenvalues; the window
-  is solved as below and its lowest k are kept.
+  is solved as below and its lowest k are kept.  Each bracket count must be
+  monotone: between the counts of the nearest shifts below and above it.
 * eigs_window  -- every eigenvalue in the closed window [a, b].  Inertia
-  counts at the edges fix the census, inertia bisection splits it into
-  slices, and shift-invert Lanczos recovers the pairs of each slice.
+  counts at the edges fix the census.
+
+Both hand their edge counts to _sliced, the one driver of the result: it
+refuses unusable or non-monotone counts, splits the census into slices by
+inertia bisection and solves each by shift-invert Lanczos.
 
 method is "lanczos" (the sliced path, the default) or "dense" (LAPACK, kept
 only as the oracle that tests compare against).  Both paths widen a
@@ -35,7 +39,7 @@ cancelled most of the vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -52,6 +56,7 @@ _SHIFT_GAP = 1e-7         # slice width below which the shift is placed as if
 _SOLVE_PIVOT = 0.1        # least diagonal pivot of the solves' LU, x column
 _GS_PASSES = 3            # most full Gram-Schmidt passes per Krylov step
 _DGKS = 2.0 ** -0.5       # a pass keeping less of the norm is repeated
+_MAX_RESTARTS = 80        # shift-invert cycles per slice before giving up
 
 
 @dataclass
@@ -71,7 +76,6 @@ class SpectrumResult:
     residuals: np.ndarray
     info: SolverInfo
     eigenvectors: np.ndarray = None
-    meta: dict = field(default_factory=dict)
     certified: bool = True
     window: tuple = None
 
@@ -233,8 +237,7 @@ def _dense_lowest(op, k, tol, return_vectors):
     w, v = sla.eigh(op.dense(), subset_by_index=(0, k - 1))
     res = _residuals(op, w, v)
     info = SolverInfo("dense", 0, tol, True)
-    return SpectrumResult(w, res, info, v if return_vectors else None,
-                          dict(op.meta))
+    return SpectrumResult(w, res, info, v if return_vectors else None)
 
 
 def _dense_window(op, a, b, lo, hi, tol, cap, return_vectors):
@@ -249,7 +252,7 @@ def _dense_window(op, a, b, lo, hi, tol, cap, return_vectors):
     res = _residuals(op, vals, vecs)
     info = SolverInfo("dense", 0, tol, True, "complete by dense enumeration")
     return SpectrumResult(vals, res, info, vecs if return_vectors else None,
-                          dict(op.meta), certified=True, window=(a, b))
+                          certified=True, window=(a, b))
 
 
 # ── Lanczos with full reorthogonalization ──────────────────────────────────
@@ -385,9 +388,9 @@ def _ritz_estimates(mat, sigma, kry, theta, y):
         return abs(kry.P[me, me - 1]) * r * np.abs(y[me - 1]) / np.abs(theta)
 
 
-def _slice_eigs(op, p, q, m_expect, tol, rng, return_vectors,
-                max_restarts=80):
-    """All m_expect eigenvalues in [p, q) by shift-invert Lanczos.
+def _slice_eigs(op, p, q, m_expect, tol, rng, scale, return_vectors):
+    """All m_expect eigenvalues in [p, q) by shift-invert Lanczos; scale is
+    max|diag H|.
 
     Returns (values, residuals, vectors, matvecs, converged); vectors is an
     n x 0 block unless return_vectors.  When the restarts run out, converged
@@ -412,7 +415,7 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, return_vectors,
     n = op.n
     # off-center, to dodge symmetric clusters, and at least _SHIFT_GAP from
     # p: a shift nearly on a multiple eigenvalue stalls the residuals
-    sigma = p + 0.5137 * max(q - p, _SHIFT_GAP * _operator_scale(op.mat))
+    sigma = p + 0.5137 * max(q - p, _SHIFT_GAP * scale)
     solve = shifted_solver(op.mat, sigma)
     pad = max(100.0 * tol, 1e-12 * max(abs(p), abs(q), 1.0))
     m_max = int(min(n, max(2 * m_expect + 30, 60)))
@@ -448,7 +451,7 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, return_vectors,
 
     matvecs = 0
     best = _empty_pairs(n)
-    for cycle in range(max_restarts):
+    for cycle in range(_MAX_RESTARTS):
         while kry.me < m_max:
             kry.extend(solve)
             matvecs += 1
@@ -480,32 +483,42 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, return_vectors,
     return pairs(vals, res, vecs, sel, False)
 
 
-def _sliced(op, a, b, na, nb, tol, rng, scale, return_vectors):
-    """The nb - na eigenvalues in [a, b), given the inertia counts na at a and
-    nb at b: inertia bisection down to slices of at most _SLICE_MAX, then
-    shift-invert Lanczos per slice.
+def _sliced(op, lo, hi, na, nb, tol, seed, return_vectors, what,
+            window=None, keep=None):
+    """SpectrumResult of the nb - na eigenvalues in [lo, hi), the census
+    given by the inertia counts na at lo and nb at hi; the lowest keep of
+    them when keep is set.  what names the query in info.message.
 
-    Returns (values, residuals, vectors, matvecs, problem, converged), sorted
-    by value; vectors is an n x 0 block unless return_vectors.  problem is ""
-    when the census is proven: every bisection count lies between the counts
-    of its sub-window's ends and the recovered pieces add up to nb - na.
-    Otherwise it names what failed.  converged is False when a slice ran out
-    of restarts; the pairs are then those found so far.
+    Unusable (None) or non-monotone (nb < na) counts prove no census: no
+    pairs, certified=False.  Otherwise inertia bisection splits [lo, hi)
+    into slices of at most _SLICE_MAX, solved by shift-invert Lanczos.  The
+    result is certified when every bisection count lies between the counts
+    of its sub-window's ends and the pieces add up to the census.  When a
+    slice runs out of restarts, raises NonConvergence carrying the result.
     """
+    rng = np.random.default_rng(seed)
+    scale = _operator_scale(op.mat)
     floor = 1e-10 * scale           # narrower sub-windows are not split
     pieces = []
     problems = []
     matvecs = 0
     converged = True
-    stack = [(a, b, na, nb)]
+    census = None
+    if na is None or nb is None:
+        problems.append("inertia factorization infeasible")
+    elif nb < na:
+        problems.append(f"non-monotone inertia counts {na}, {nb} at {lo}, {hi}")
+    else:
+        census = nb - na
+    stack = [] if census is None else [(lo, hi, na, nb)]
     while stack and converged:
         p, q, np_, nq = stack.pop()
         m = nq - np_
         if m == 0:
             continue
         if m <= _SLICE_MAX or q - p <= floor:
-            vals, res, vecs, mv, converged = _slice_eigs(op, p, q, m, tol, rng,
-                                                         return_vectors)
+            vals, res, vecs, mv, converged = _slice_eigs(
+                op, p, q, m, tol, rng, scale, return_vectors)
             matvecs += mv
             pieces.append((vals, res, vecs))
             continue
@@ -532,97 +545,72 @@ def _sliced(op, a, b, na, nb, tol, rng, scale, return_vectors):
         res = np.concatenate([x[1] for x in pieces])[order]
         if return_vectors:
             vecs = np.concatenate([x[2] for x in pieces], axis=1)[:, order]
-    if converged and len(vals) != nb - na:
-        problems.append(f"recovered {len(vals)} eigenvalues, census {nb - na}")
-    return vals, res, vecs, matvecs, "; ".join(problems), converged
-
-
-def _sliced_result(op, found, tol, return_vectors, claim, window=None):
-    """SpectrumResult from the output of _sliced, certified when the census
-    claim held; raises NonConvergence carrying it when a slice did not
-    converge."""
-    vals, res, vecs, matvecs, problem, converged = found
-    message = f"{claim} not reached: {problem}" if problem else claim
+    if census is not None and converged and len(vals) != census:
+        problems.append(f"recovered {len(vals)} eigenvalues, census {census}")
+    claim = f"{what}: shift-invert slices, inertia-certified count {census}"
+    message = (f"{what}: not certified: {'; '.join(problems)}" if problems
+               else claim)
     info = SolverInfo("lanczos", matvecs, tol, converged, message)
-    result = SpectrumResult(vals, res, info, vecs if return_vectors else None,
-                            dict(op.meta), certified=converged and not problem,
+    result = SpectrumResult(vals[:keep], res[:keep], info,
+                            vecs[:, :keep] if return_vectors else None,
+                            certified=converged and not problems,
                             window=window)
     if not converged:
         raise NonConvergence(
-            f"{claim}: not every slice reached tol={tol} "
-            f"(worst residual {np.max(res, initial=0.0):.2e})", result)
+            f"{claim}: not every slice reached tol={tol} (worst residual "
+            f"{np.max(result.residuals, initial=0.0):.2e})", result)
     return result
-
-
-def _window_sliced(op, a, b, lo, hi, tol, cap, seed, return_vectors):
-    """Certified window query: inertia counts at the padded edges lo and hi,
-    inertia bisection and per-slice shift-invert over [lo, hi)."""
-    rng = np.random.default_rng(seed)
-    scale = _operator_scale(op.mat)
-    na = inertia_count(op, lo, _scale=scale, direction=-1.0)
-    nb = inertia_count(op, hi, _scale=scale, direction=1.0)
-    if na is None or nb is None or nb < na:
-        why = ("inertia factorization infeasible" if na is None or nb is None
-               else f"non-monotone inertia counts {na}, {nb} at the edges")
-        vals, res, vecs = _empty_pairs(op.n)
-        info = SolverInfo("lanczos", 0, tol, True, f"{why}; counts uncertified")
-        return SpectrumResult(vals, res, info, vecs if return_vectors else None,
-                              dict(op.meta), certified=False, window=(a, b))
-    m_w = nb - na
-    if m_w > cap:
-        raise WindowOverflow(
-            f"window [{a}, {b}] holds {m_w} eigenvalues, cap is {cap}", m_w)
-    found = _sliced(op, lo, hi, na, nb, tol, rng, scale, return_vectors)
-    return _sliced_result(op, found, tol, return_vectors,
-                          f"window [{a}, {b}]: shift-invert slices, "
-                          f"inertia-certified count {m_w}", window=(a, b))
 
 
 def _lowest_sliced(op, k, tol, seed, return_vectors):
     """Lowest k: bracket them by inertia counts, then solve the bracket.
 
-    Nothing lies below the Gershgorin bound lo.  An upper shift s is widened
-    geometrically until at least k eigenvalues lie below it, then bisected
-    down until the census is small.  Every eigenvalue in [lo, s) is found by
-    the window machinery, so the lowest k of them are the lowest k of op.
+    Nothing lies below the Gershgorin bound lo and everything below top,
+    just above hi, with no factorization.  An upper shift s is widened from
+    lo until at least k eigenvalues lie below it, then halved until the
+    census is small.  A count outside those of the nearest shifts below and
+    above it is handed to _sliced with that neighbour, which refuses it.
+    Otherwise the lowest k found by _sliced in [lo, s) are the lowest k.
     """
     n = op.n
-    rng = np.random.default_rng(seed)
     scale = _operator_scale(op.mat)
     lo, hi = _gershgorin_bounds(op.mat)
-    # above hi every eigenvalue is below the shift, with no factorization
     top = hi + _EDGE_PAD * scale
     target = max(2 * k, k + 16)
-    below = lo                      # a shift with fewer than k below it
+    below, n_below = lo, 0          # the highest shift with fewer than k
+    s, ns = top, n                  # the lowest shift with at least k
     width = max((hi - lo) * k / n, 1e-8 * scale)
+    halvings = 0
+    edges = None
     while True:
-        s = lo + width
-        if s >= top:
-            s, ns = top, n
-            break
-        ns = inertia_count(op, s, _scale=scale)
-        if ns is not None and ns >= k:
-            break
-        if ns is not None:
-            below = s
-        width *= 2.0
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (below + s)
-        if ns <= target or not below < mid < s:
-            break
-        nm = inertia_count(op, mid, _scale=scale)
-        if nm is None:
-            break
-        if nm >= k:
-            s, ns = mid, nm
+        # widen until a count reaches k or the next shift would pass top
+        widening = s == top and lo + width < top
+        if widening:
+            t = lo + width
+            width *= 2.0
         else:
-            below = mid
-    vals, res, vecs, *rest = _sliced(op, lo, s, 0, ns, tol, rng, scale,
-                                     return_vectors)
-    return _sliced_result(op, (vals[:k], res[:k], vecs[:, :k], *rest), tol,
-                          return_vectors,
-                          f"lowest-{k}: shift-invert slices below {s:.6g}, "
-                          f"inertia-certified count {ns}")
+            t = 0.5 * (below + s)
+            if halvings == _BISECT_STEPS or ns <= target or not below < t < s:
+                break
+            halvings += 1
+        nt = inertia_count(op, t, _scale=scale)
+        if nt is None:
+            if widening:
+                continue
+            break
+        if nt < n_below:
+            edges = (below, t, n_below, nt)
+            break
+        if nt > ns:
+            edges = (t, s, nt, ns)
+            break
+        if nt >= k:
+            s, ns = t, nt
+        else:
+            below, n_below = t, nt
+    edges = edges or (lo, s, 0, ns)
+    return _sliced(op, *edges, tol, seed, return_vectors,
+                   f"lowest-{k} below {edges[1]:.6g}", keep=k)
 
 
 def eigs_lowest(op, k, tol=1e-8, seed=0, method="lanczos",
@@ -630,10 +618,12 @@ def eigs_lowest(op, k, tol=1e-8, seed=0, method="lanczos",
     """k smallest eigenvalues with residual certificates.
 
     method "lanczos" brackets them by inertia counts and solves the bracket
-    by shift-invert Lanczos slices; "dense" is the LAPACK oracle.  The sliced
-    result is certified when the pieces add up to the inertia census of the
-    bracket; otherwise certified is False and info.message says why.  On
-    non-convergence raises NonConvergence carrying the partial result.
+    by shift-invert Lanczos slices in _sliced; "dense" is the LAPACK oracle.
+    The sliced result is certified when every bracket count is monotone in
+    the shift and the pieces add up to the inertia census of the bracket;
+    otherwise certified is False and info.message says why, and a
+    non-monotone bracket count gives no pairs.  On non-convergence raises
+    NonConvergence carrying the partial result.
     """
     if k < 1 or k > op.n:
         raise ValueError(f"k must be in 1..{op.n}, got {k}")
@@ -651,12 +641,12 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
 
     Both methods widen the edges outward by _EDGE_PAD * max|diag H|.  With
     method "lanczos", inertia counts at the widened edges fix the census and
-    shift-invert Lanczos slices recover the pairs; "dense" filters a full
-    LAPACK solve and is the oracle.  Raises WindowOverflow when the census
-    exceeds cap, and NonConvergence carrying the partial result when a slice
-    does not converge.  result.certified reports whether the census was
-    proven; when it was not, info.message says why, and unusable edge counts
-    give no pairs.
+    _sliced recovers the pairs by shift-invert Lanczos slices; "dense"
+    filters a full LAPACK solve and is the oracle.  Raises WindowOverflow
+    when the census exceeds cap, and NonConvergence carrying the partial
+    result when a slice does not converge.  result.certified reports whether
+    the census was proven; when it was not, info.message says why, and
+    unusable or non-monotone edge counts give no pairs.
     """
     if not b >= a:
         raise ValueError(f"empty window: [{a}, {b}]")
@@ -664,8 +654,16 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
         raise ValueError(f"cap must be positive, got {cap}")
     if method not in ("lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    pad = _EDGE_PAD * _operator_scale(op.mat)
+    scale = _operator_scale(op.mat)
+    pad = _EDGE_PAD * scale
     lo, hi = a - pad, b + pad
     if method == "dense":
         return _dense_window(op, a, b, lo, hi, tol, cap, return_vectors)
-    return _window_sliced(op, a, b, lo, hi, tol, cap, seed, return_vectors)
+    na = inertia_count(op, lo, _scale=scale, direction=-1.0)
+    nb = inertia_count(op, hi, _scale=scale, direction=1.0)
+    if na is not None and nb is not None and nb - na > cap:
+        raise WindowOverflow(
+            f"window [{a}, {b}] holds {nb - na} eigenvalues, cap is {cap}",
+            nb - na)
+    return _sliced(op, lo, hi, na, nb, tol, seed, return_vectors,
+                   f"window [{a}, {b}]", window=(a, b))

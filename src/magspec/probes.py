@@ -161,8 +161,10 @@ def boundary_identity_check(op_full, op_split, grid, phases, gamma,
     v - w with w solving (H_full + c) w = g: three solves on one sparse LU
     each of H_full + c and H_split + c.
     """
-    if op_full.n != grid.n_nodes or op_split.n != grid.n_nodes:
-        raise ValueError("operators do not match the grid")
+    order = np.arange(grid.n_nodes)     # the pairing reads u, v by node
+    if not (np.array_equal(op_full.nodes, order)
+            and np.array_equal(op_split.nodes, order)):
+        raise ValueError("operators do not act on the grid's nodes in order")
     if f is None:
         f = smooth_random_field(grid, seed)
     if g is None:

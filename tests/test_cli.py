@@ -12,7 +12,7 @@ import conftest
 from magspec import cli
 from magspec.assembly import load_coordinate
 from magspec.cli import ConfigError, build_configs, main, parse_config
-from magspec.experiments import build_operator
+from magspec.experiments import RunConfig, build_operator
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -103,6 +103,13 @@ def test_build_configs_requires_radii(tmp_path):
     path = _cfgfile(tmp_path, "experiment = ladder\n")
     with pytest.raises(ConfigError, match="radii"):
         build_configs(parse_config(path), where=path)
+
+
+def test_unset_keys_take_the_run_config_defaults(tmp_path):
+    path = _cfgfile(tmp_path, "experiment = spectrum\n")
+    exp, cfg, _ = build_configs(parse_config(path))
+    assert exp == "spectrum"
+    assert cfg == RunConfig()
 
 
 def test_window_none(tmp_path):

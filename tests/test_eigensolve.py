@@ -180,6 +180,20 @@ def test_whole_spectrum_window_factorises_only_its_slice(lu_counter):
     assert len(lu_counter) == 1
 
 
+def test_lowest_k_costs_three_counts_and_one_slice(lu_counter):
+    # the operator of the lowest_lanczos benchmark: the bracket widens to
+    # four times its first width, whose count of 11 needs no halving, and
+    # one slice solves [lo, s)
+    g = build_grid(DomainSpec(dimension=2, truncation_radius=8.0), 0.5)
+    op = assemble(g, link_phases(g, FieldSpec.radial_decay(1.0, 2.0)))
+    got = eigs_lowest(op, 5, return_vectors=False)
+    assert got.certified
+    lo, hi = eigensolve._gershgorin_bounds(op.mat)
+    w = (hi - lo) * 5 / op.n
+    assert lu_counter == pytest.approx(
+        [lo + w, lo + 2 * w, lo + 4 * w, lo + 0.5137 * 4 * w], rel=1e-12)
+
+
 # ── Lowest-k queries ───────────────────────────────────────────────────────
 
 
@@ -465,6 +479,14 @@ def test_bisection_above_slice_max(monkeypatch):
     want = eigs_lowest(op, k, method="dense", return_vectors=False)
     got = eigs_lowest(op, k, tol=1e-9, method="lanczos", return_vectors=False)
     _assert_matches_oracle(got, want, 1e-9)
+    # the bracket widens twice and halves once to s; its census of 219 is
+    # then bisected at the midpoint of [lo, s) and of the upper half
+    lo, hi = eigensolve._gershgorin_bounds(op.mat)
+    w = (hi - lo) * k / op.n
+    s = lo + 1.5 * w
+    mid = 0.5 * (lo + s)
+    assert shifts == pytest.approx([lo + w, lo + 2 * w, s, mid,
+                                    0.5 * (mid + s)], rel=1e-12)
     b = float(want.eigenvalues[-1]) + 0.05
     want = eigs_window(op, 0.0, b, method="dense")
     assert want.k > eigensolve._SLICE_MAX
@@ -503,6 +525,30 @@ def test_non_monotone_count_is_uncertified(monkeypatch):
     monkeypatch.setattr(eigensolve, "inertia_count", faulty)
     res = eigs_window(op, 0.0, 8.0, method="lanczos")
     assert not res.certified
+    assert "non-monotone" in res.info.message
+
+
+@pytest.mark.parametrize("d, k, bad", [
+    # a halving midpoint counts more than the shift above it
+    (np.concatenate([np.linspace(1.0, 1.1, 100), np.linspace(2.0, 10.0, 200)]),
+     5, lambda s, n: n + 500 if s < 1.1 else n),
+    # a widening shift counts fewer than the shift below it
+    (np.concatenate([[0.0], np.linspace(5.0, 10.0, 299)]),
+     5, lambda s, n: 0 if 0.3 < s < 1.0 else n),
+], ids=["above", "below"])
+def test_non_monotone_bracket_count_is_uncertified(monkeypatch, d, k, bad):
+    # the lowest-k bracket holds its counts to the rule of window counts:
+    # one out of order with a neighbouring shift proves no census, and the
+    # query returns at once, without pairs, rather than chase a false census
+    op = HermitianOperator.from_matrix(sp.diags(d))
+    true_count = eigensolve.inertia_count
+
+    def faulty(op, s, _scale=None, direction=1.0):
+        return bad(s, true_count(op, s, _scale=_scale, direction=direction))
+
+    monkeypatch.setattr(eigensolve, "inertia_count", faulty)
+    res = eigs_lowest(op, k, method="lanczos")
+    assert not res.certified and res.k == 0
     assert "non-monotone" in res.info.message
 
 

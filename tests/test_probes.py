@@ -208,6 +208,18 @@ def test_identity_dict_and_guards():
         boundary_identity_check(om_only, split, g, ph, 0.5)
 
 
+def test_identity_rejects_reordered_nodes():
+    # same size, rows in another node order: the boundary pairing would read
+    # the wrong nodes, so the check must refuse it
+    g, ph, full, split = _setup(0.3)
+    perm = np.random.default_rng(0).permutation(split.n)
+    shuffled = HermitianOperator(split.mat[perm][:, perm].tocsr(),
+                                 split.nodes[perm], split.region,
+                                 dict(split.meta))
+    with pytest.raises(ValueError, match="nodes"):
+        boundary_identity_check(full, shuffled, g, ph, 0.5, shift=6.0)
+
+
 # ── Differential checks against the dense formulas ─────────────────────────
 
 
