@@ -47,12 +47,22 @@ class HermitianOperator:
     mat    csr_matrix, complex128, exactly Hermitian
     nodes  row -> grid node index (identity for full-grid operators)
     meta   h, gamma, boundary, region, field, domain, dimension
+
+    An operator is not modified after assembly: build a new one (shifted,
+    dataclasses.replace, from_matrix) instead of rebinding or editing mat.
+    The resolvent probes rely on this when they keep the sparse LU of
+    H + cI for the last shift c in _lu, a cache that every copy starts
+    without and that equality and pickling ignore.
     """
 
     mat: object
     nodes: np.ndarray
     region: str
     meta: dict = field(default_factory=dict)
+    _lu: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_lu": None}   # an LU cannot be pickled
 
     @property
     def n(self):

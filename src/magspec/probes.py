@@ -14,7 +14,9 @@ identity closes exactly in the continuum and to O(h) on the lattice.
 
 Both probes run on sparse factorisations: one LU each of H_split + c and
 H_full + c, and solves against them.  No n x n matrix is formed, so the
-probes reach grids as fine as the factorisations do.
+probes reach grids as fine as the factorisations do.  Each operator keeps
+the LU of H + c for the last shift c it was probed at, so the SVD and every
+identity check at one shift share one factorisation per operator.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .eigensolve import eigs_lowest, shifted_solver
+from .eigensolve import NonConvergence, eigs_lowest, shifted_solver
 
 
 # ── Shift policy ───────────────────────────────────────────────────────────
@@ -33,13 +35,34 @@ def hermitian_shift(*ops, margin=1.0):
 
     c = max(0, -min lambda_min) + margin, computed once from the supplied
     operators and meant to be reused verbatim across a refinement pair so
-    resolvent quantities stay comparable.
+    resolvent quantities stay comparable.  margin must be finite and
+    positive, or H + cI could be singular.  Raises NonConvergence, carrying
+    the result, when a lowest eigenvalue is not certified.
     """
     if len(ops) == 0:
         raise ValueError("need at least one operator")
-    lows = [float(eigs_lowest(op, 1, return_vectors=False).eigenvalues[0])
-            for op in ops]
-    return max(0.0, -min(lows)) + float(margin)
+    margin = float(margin)
+    if not (np.isfinite(margin) and margin > 0.0):
+        raise ValueError(f"margin must be finite and positive, got {margin}")
+    lows = []
+    for op in ops:
+        res = eigs_lowest(op, 1, return_vectors=False)
+        if not res.certified:
+            raise NonConvergence("lowest eigenvalue not certified: "
+                                 f"{res.info.message}", partial=res)
+        lows.append(float(res.eigenvalues[0]))
+    return max(0.0, -min(lows)) + margin
+
+
+def _resolvent(op, c):
+    """Solver for (H + c) x = b from the LU of H + c kept on op.
+
+    One entry per operator: a new shift replaces the kept LU, which bounds
+    memory to one factorisation per operator.
+    """
+    if op._lu is None or op._lu[0] != c:
+        op._lu = (c, shifted_solver(op.mat, -c))
+    return op._lu[1]
 
 
 # ── Test fields ────────────────────────────────────────────────────────────
@@ -98,8 +121,8 @@ def resolvent_difference_svd(op_full, op_split, shift=None, k=10):
         return sv, c
     probe = np.zeros((n, m), dtype=complex)
     probe[support, np.arange(m)] = 1.0
-    r_x = np.linalg.qr(shifted_solver(op_split.mat, -c)(probe), mode="r")
-    r_y = np.linalg.qr(shifted_solver(op_full.mat, -c)(probe), mode="r")
+    r_x = np.linalg.qr(_resolvent(op_split, c)(probe), mode="r")
+    r_y = np.linalg.qr(_resolvent(op_full, c)(probe), mode="r")
     core = r_x @ diff[support][:, support].toarray() @ r_y.conj().T
     top = sla.svdvals(core)[:len(sv)]
     sv[:len(top)] = top
@@ -159,7 +182,8 @@ def boundary_identity_check(op_full, op_split, grid, phases, gamma,
     inner product of Vg with f must match minus the boundary pairing of u
     and v up to a discretization gap that shrinks linearly in h.  Vg is
     v - w with w solving (H_full + c) w = g: three solves on one sparse LU
-    each of H_full + c and H_split + c.
+    each of H_full + c and H_split + c.  Those LUs are kept on the operators
+    and reused by later probes at the same shift.
     """
     order = np.arange(grid.n_nodes)     # the pairing reads u, v by node
     if not (np.array_equal(op_full.nodes, order)
@@ -170,8 +194,8 @@ def boundary_identity_check(op_full, op_split, grid, phases, gamma,
     if g is None:
         g = smooth_random_field(grid, seed + 1)
     c = hermitian_shift(op_full, op_split) if shift is None else float(shift)
-    u, w = shifted_solver(op_full.mat, -c)(np.column_stack([f, g])).T
-    v = shifted_solver(op_split.mat, -c)(g)
+    u, w = _resolvent(op_full, c)(np.column_stack([f, g])).T
+    v = _resolvent(op_split, c)(g)
     hd = grid.h ** grid.dimension
     lhs = hd * np.vdot(v - w, f)
     rhs = -_boundary_pairing(grid, phases, gamma, u, v)

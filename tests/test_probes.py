@@ -1,9 +1,13 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from magspec import eigensolve
 from magspec.assembly import HermitianOperator, assemble, direct_sum
 from magspec.fields import FieldSpec, link_phases
 from magspec.geometry import BoxObstacle, DiskObstacle, DomainSpec, build_grid
@@ -34,6 +38,30 @@ def test_shift_on_known_spectra():
     assert hermitian_shift(neg, margin=0.25) == pytest.approx(3.25)
     with pytest.raises(ValueError):
         hermitian_shift()
+    # margin 0 puts an eigenvalue of H + cI at 0: the probes' LU would fail
+    for margin in (0.0, -0.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="margin"):
+            hermitian_shift(neg, margin=margin)
+
+
+def test_shift_refuses_uncertified_lowest(monkeypatch):
+    # a non-monotone bracket count leaves eigs_lowest uncertified and
+    # without pairs; the shift must say so rather than index an empty result
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((60, 60)) + 1j * rng.standard_normal((60, 60))
+    op = HermitianOperator.from_matrix((x + x.conj().T) / 2)
+    low = np.linalg.eigvalsh(op.dense())[0]
+    true_count = eigensolve.inertia_count
+
+    def faulty(op, s, _scale=None, direction=1.0):
+        n = true_count(op, s, _scale=_scale, direction=direction)
+        return n + 500 if s < low + 1.0 else n
+
+    monkeypatch.setattr(eigensolve, "inertia_count", faulty)
+    with pytest.raises(eigensolve.NonConvergence,
+                       match="not certified.*non-monotone") as err:
+        hermitian_shift(op)
+    assert not err.value.partial.certified
 
 
 # ── Position-based random fields ───────────────────────────────────────────
@@ -218,6 +246,50 @@ def test_identity_rejects_reordered_nodes():
                                  dict(split.meta))
     with pytest.raises(ValueError, match="nodes"):
         boundary_identity_check(full, shuffled, g, ph, 0.5, shift=6.0)
+
+
+# ── Kept factorisations ────────────────────────────────────────────────────
+
+
+def test_probes_factorise_each_operator_once_per_shift(lu_counter):
+    # one SVD and four identity checks at one shift share one LU per
+    # operator; reuse changes no answer, bit for bit, against probes of
+    # freshly assembled operators
+    g, ph, full, split = _setup(0.3)
+    sv, _ = resolvent_difference_svd(full, split, shift=6.0)
+    kept = [boundary_identity_check(full, split, g, ph, 0.5, shift=6.0, seed=s)
+            for s in range(4)]
+    assert lu_counter == [-6.0, -6.0]
+    _, _, full2, split2 = _setup(0.3)
+    assert np.array_equal(sv, resolvent_difference_svd(full2, split2,
+                                                       shift=6.0)[0])
+    for s, out in enumerate(kept):
+        g2, ph2, full2, split2 = _setup(0.3)
+        fresh = boundary_identity_check(full2, split2, g2, ph2, 0.5,
+                                        shift=6.0, seed=s)
+        assert (out.lhs, out.rhs, out.gap) == (fresh.lhs, fresh.rhs, fresh.gap)
+
+
+def test_kept_lu_follows_the_last_shift(lu_counter):
+    # one LU per operator, for the last shift: returning to a shift
+    # factorises again, and every copy of an operator starts without one
+    g, ph, full, split = _setup(0.3)
+    f = smooth_random_field(g, 0)
+    gg = smooth_random_field(g, 1)
+    eye = np.eye(g.n_nodes)
+    for c in (6.0, 7.0, 6.0):
+        out = boundary_identity_check(full, split, g, ph, 0.5, f=f, g=gg,
+                                      shift=c)
+        u = np.linalg.solve(full.dense() + c * eye, f)
+        v = np.linalg.solve(split.dense() + c * eye, gg)
+        want = g.h**2 * np.vdot(v, (full.mat - split.mat) @ u)
+        assert out.lhs == pytest.approx(want, rel=1e-11)
+    assert lu_counter == [-6.0, -6.0, -7.0, -7.0, -6.0, -6.0]
+    copy = dataclasses.replace(full)
+    assert full._lu is not None
+    assert copy._lu is None and full.shifted(1.0)._lu is None
+    assert pickle.loads(pickle.dumps(full))._lu is None
+    assert full == copy
 
 
 # ── Differential checks against the dense formulas ─────────────────────────
