@@ -36,6 +36,7 @@ import scipy.sparse as sp
 from .geometry import OMEGA, OBSTACLE
 
 REGIONS = ("omega", "obstacle", "full")
+BOUNDARIES = ("robin", "dirichlet")
 
 COORD_HEADER = "%%MatrixMarket-compatible coordinate complex hermitian"
 
@@ -111,8 +112,8 @@ def assemble(grid, phases, region="omega", gamma=0.0, boundary="robin"):
         raise ValueError("phases were built for a different grid (mismatched lattice)")
     if region not in REGIONS:
         raise ValueError(f"region must be one of {REGIONS}, got {region!r}")
-    if boundary not in ("robin", "dirichlet"):
-        raise ValueError(f"boundary must be 'robin' or 'dirichlet', got {boundary!r}")
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
     gamma = float(gamma)
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma}")
@@ -166,9 +167,7 @@ def assemble(grid, phases, region="omega", gamma=0.0, boundary="robin"):
         else:
             np.add.at(diag, row_of[side], w_edge)
 
-    ri = np.concatenate(rows) if rows else np.empty(0, np.int64)
-    rj = np.concatenate(cols) if cols else np.empty(0, np.int64)
-    v = np.concatenate(vals) if vals else np.empty(0, complex)
+    ri, rj, v = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
     all_rows = np.concatenate([ri, rj, np.arange(n_sub)])
     all_cols = np.concatenate([rj, ri, np.arange(n_sub)])
     all_vals = np.concatenate([v, np.conj(v), diag.astype(complex)])

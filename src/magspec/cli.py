@@ -17,39 +17,43 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 
-import numpy as np
-
-from .assembly import export_coordinate
+from .assembly import BOUNDARIES, export_coordinate
 from .eigensolve import NonConvergence, WindowOverflow
 from .experiments import (RunConfig, build_operator, free_twin, ladder_compare,
                           run_ladder, run_spectrum)
-from .fields import FieldSpec
-from .geometry import BoxObstacle, DiskObstacle
+from .fields import KINDS, FieldSpec
+from .geometry import (OBSTACLE_KINDS, TRUNCATION_SHAPES, BoxObstacle,
+                       DiskObstacle)
 from .spectra import landau_levels
 
 EXIT_OK, EXIT_ERROR, EXIT_FAIL, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
-EXPERIMENTS = ("spectrum", "ladder", "compare", "landau")
+EXPERIMENTS = ("spectrum", "ladder", "compare")
 
-# key -> (kind, allowed choices or None)
+# key -> (kind, allowed choices or None) for the keys that describe one side
+# of a compare; side B takes the same keys under "compare."
+_SIDE_KEYS = {
+    "obstacle": ("str", OBSTACLE_KINDS),
+    "obstacle.center": ("vec", None),
+    "obstacle.radius": ("float", None),
+    "obstacle.halfwidths": ("vec", None),
+    "gamma": ("float", None),
+    "field": ("str", KINDS),
+    "field.b": ("float", None),
+    "field.b0": ("float", None),
+    "field.p": ("float", None),
+}
+
 _KEYS = {
     "experiment": ("str", EXPERIMENTS),
     "dimension": ("int", None),
     "truncation_radius": ("float", None),
-    "truncation_shape": ("str", ("box", "disk")),
+    "truncation_shape": ("str", TRUNCATION_SHAPES),
     "h": ("float", None),
-    "obstacle": ("str", ("none", "disk", "box")),
-    "obstacle.center": ("vec", None),
-    "obstacle.radius": ("float", None),
-    "obstacle.halfwidths": ("vec", None),
-    "field": ("str", ("constant", "radial_decay", "radial_growth")),
-    "field.b": ("float", None),
-    "field.b0": ("float", None),
-    "field.p": ("float", None),
-    "gamma": ("float", None),
-    "boundary": ("str", ("robin", "dirichlet")),
+    **_SIDE_KEYS,
+    "boundary": ("str", BOUNDARIES),
     "window": ("window", None),
     "k": ("int", None),
     "delta": ("float", None),
@@ -58,18 +62,7 @@ _KEYS = {
     "seed": ("int", None),
     "radii": ("vec", None),
     "diff_bound": ("int", None),
-    "compare.obstacle": ("str", ("none", "disk", "box")),
-    "compare.obstacle.center": ("vec", None),
-    "compare.obstacle.radius": ("float", None),
-    "compare.obstacle.halfwidths": ("vec", None),
-    "compare.field": ("str", ("constant", "radial_decay", "radial_growth")),
-    "compare.field.b": ("float", None),
-    "compare.field.b0": ("float", None),
-    "compare.field.p": ("float", None),
-    "compare.gamma": ("float", None),
-    "landau.b": ("float", None),
-    "landau.dimension": ("int", None),
-    "landau.cutoff": ("float", None),
+    **{"compare." + key: spec for key, spec in _SIDE_KEYS.items()},
 }
 
 
@@ -123,100 +116,94 @@ def parse_config(path):
     return settings
 
 
-def _obstacle_from(settings, prefix, where):
-    kind = settings.get(prefix, "none")
+def _refuse_unread(settings, keys, read, chosen, where):
+    """A set key among `keys` that the chosen kind never reads would be
+    silently dropped, so it is an error."""
+    unread = [k for k in keys if k in settings and k not in read]
+    if unread:
+        raise ConfigError(f"{where}: {', '.join(unread)} not used with "
+                          f"{chosen}")
+
+
+def _obstacle_from(settings, side, dimension, where):
+    """(obstacle, gamma) of one side; side is "" or "compare."."""
+    key = side + "obstacle"
+    kind = settings.get(key, "none")
+    center, radius, halfwidths = (key + ".center", key + ".radius",
+                                  key + ".halfwidths")
+    gamma = side + "gamma"
+    read = {"none": (), "disk": (center, radius, gamma),
+            "box": (center, halfwidths, gamma)}[kind]
+    _refuse_unread(settings, (center, radius, halfwidths, gamma), read,
+                   f"{key} = {kind}", where)
     if kind == "none":
-        return None
-    center = settings.get(prefix + ".center",
-                          (0.0,) * settings.get("dimension", RunConfig.dimension))
+        return None, RunConfig.gamma
+    at = settings.get(center, (0.0,) * dimension)
     if kind == "disk":
-        if prefix + ".radius" not in settings:
-            raise ConfigError(f"{where}: {prefix}.radius required for a disk")
-        return DiskObstacle(tuple(center), settings[prefix + ".radius"])
-    if prefix + ".halfwidths" not in settings:
-        raise ConfigError(f"{where}: {prefix}.halfwidths required for a box")
-    return BoxObstacle(tuple(center), tuple(settings[prefix + ".halfwidths"]))
+        if radius not in settings:
+            raise ConfigError(f"{where}: {radius} required for a disk")
+        obstacle = DiskObstacle(at, settings[radius])
+    else:
+        if halfwidths not in settings:
+            raise ConfigError(f"{where}: {halfwidths} required for a box")
+        obstacle = BoxObstacle(at, settings[halfwidths])
+    return obstacle, settings.get(gamma, RunConfig.gamma)
 
 
-def _field_from(settings, prefix, dimension, where):
-    kind = settings.get(prefix, "constant")
+def _field_from(settings, side, dimension, where):
+    """The field spec of one side; side is "" or "compare."."""
+    key = side + "field"
+    kind = settings.get(key, "constant")
+    b, b0, p = key + ".b", key + ".b0", key + ".p"
+    read = (b,) if kind == "constant" else (b0, p)
+    _refuse_unread(settings, (b, b0, p), read, f"{key} = {kind}", where)
     if kind == "constant":
-        return FieldSpec.constant(settings.get(prefix + ".b", 1.0), dimension)
-    b0 = settings.get(prefix + ".b0", 1.0)
-    p = settings.get(prefix + ".p", 2.0)
-    if kind == "radial_decay":
-        return FieldSpec.radial_decay(b0, p, dimension)
-    return FieldSpec.radial_growth(b0, p, dimension)
+        return FieldSpec.constant(settings.get(b, 1.0), dimension)
+    radial = (FieldSpec.radial_decay if kind == "radial_decay"
+              else FieldSpec.radial_growth)
+    return radial(settings.get(b0, 1.0), settings.get(p, 2.0), dimension)
 
 
 def build_configs(settings, where="config"):
-    """Parsed settings -> (experiment, RunConfig, extras dict)."""
+    """Parsed settings -> (experiment, RunConfig, extras dict).
+
+    extras holds radii, diff_bound and, for a compare, side B's RunConfig
+    under "cfg_b"."""
     experiment = settings.get("experiment", "spectrum")
     dim = settings.get("dimension", RunConfig.dimension)
-    extras = {
-        "radii": settings.get("radii"),
-        "diff_bound": settings.get("diff_bound", 10),
-        "landau": (settings.get("landau.b", 1.0),
-                   settings.get("landau.dimension", dim),
-                   settings.get("landau.cutoff", 6.0)),
-    }
+    extras = {"radii": settings.get("radii"),
+              "diff_bound": settings.get("diff_bound", 10), "cfg_b": None}
+    if experiment != "compare":
+        _refuse_unread(settings, [k for k in settings
+                                  if k.startswith("compare.")], (),
+                       f"experiment = {experiment}", where)
+    if experiment in ("ladder", "compare") and extras["radii"] is None:
+        raise ConfigError(f"{where}: experiment {experiment!r} needs radii")
     # RunConfig holds the defaults, so it gets only what the file sets; the
     # file's obstacle and field name kinds, built into objects here
     given = {f.name: settings[f.name] for f in fields(RunConfig)
              if f.name in settings}
     try:
-        given.update(obstacle=_obstacle_from(settings, "obstacle", where),
-                     fieldspec=_field_from(settings, "field", dim, where))
+        given["obstacle"], given["gamma"] = _obstacle_from(settings, "", dim,
+                                                           where)
+        given["fieldspec"] = _field_from(settings, "", dim, where)
         cfg = RunConfig(**given)
+        if experiment == "compare":
+            # side B: free space with side A's field unless the file says
+            field_b = None
+            if any(k.startswith("compare.field") for k in settings):
+                field_b = _field_from(settings, "compare.", dim, where)
+            obstacle_b, gamma_b = _obstacle_from(settings, "compare.", dim,
+                                                 where)
+            extras["cfg_b"] = replace(free_twin(cfg, fieldspec=field_b),
+                                      obstacle=obstacle_b, gamma=gamma_b)
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{where}: {e}")
-    if experiment in ("ladder", "compare") and extras["radii"] is None:
-        raise ConfigError(f"{where}: experiment {experiment!r} needs radii")
-    cfg_b = None
-    if experiment == "compare":
-        try:
-            over = None
-            if any(k.startswith("compare.field") for k in settings):
-                over = _field_from(settings, "compare.field", dim, where)
-            cfg_b = free_twin(cfg, fieldspec=over)
-            if any(k.startswith("compare.obstacle") for k in settings):
-                cfg_b = replace(
-                    cfg_b,
-                    obstacle=_obstacle_from(settings, "compare.obstacle", where),
-                    gamma=settings.get("compare.gamma", 0.0))
-        except (ValueError, TypeError) as e:
-            raise ConfigError(f"{where}: {e}")
-    extras["cfg_b"] = cfg_b
     return experiment, cfg, extras
 
 
 def _config_echo(cfg, experiment, extras):
-    def obstacle_dict(ob):
-        if ob is None:
-            return None
-        if isinstance(ob, DiskObstacle):
-            return {"kind": "disk", "center": list(ob.center),
-                    "radius": ob.radius}
-        return {"kind": "box", "center": list(ob.center),
-                "halfwidths": list(ob.halfwidths)}
-
-    echo = {
-        "experiment": experiment,
-        "dimension": cfg.dimension,
-        "truncation_radius": cfg.truncation_radius,
-        "truncation_shape": cfg.truncation_shape,
-        "obstacle": obstacle_dict(cfg.obstacle),
-        "field": asdict(cfg.fieldspec),
-        "gamma": cfg.gamma,
-        "boundary": cfg.boundary,
-        "h": cfg.h,
-        "window": list(cfg.window) if cfg.window else None,
-        "k": cfg.k,
-        "delta": cfg.delta,
-        "tol": cfg.tol,
-        "cap": cfg.cap,
-        "seed": cfg.seed,
-    }
+    echo = {"experiment": experiment, **cfg.as_dict()}
     if extras["radii"] is not None:
         echo["radii"] = list(extras["radii"])
         echo["diff_bound"] = extras["diff_bound"]
@@ -285,26 +272,17 @@ def _write_ladder_csv(outdir, rows, with_side):
 def _cmd_run(args):
     settings = parse_config(args.config)
     experiment, cfg, extras = build_configs(settings, where=args.config)
-    if getattr(args, "seed", None) is not None:
+    cfg_b = extras["cfg_b"]
+    if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-        if extras.get("cfg_b") is not None:
-            extras["cfg_b"] = replace(extras["cfg_b"], seed=args.seed)
+        if cfg_b is not None:
+            cfg_b = replace(cfg_b, seed=args.seed)
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
     payload = {"config": _config_echo(cfg, experiment, extras)}
     verdict, exit_code = "ok", EXIT_OK
 
-    if experiment == "landau":
-        b, dim, cutoff = extras["landau"]
-        model = landau_levels(b, dim, cutoff)
-        payload["landau"] = {
-            "kind": model.kind,
-            "levels": list(model.levels),
-            "threshold": model.threshold,
-        }
-        print(f"model: {model.kind}  levels: {list(model.levels)}  "
-              f"threshold: {model.threshold}")
-    elif experiment == "spectrum":
+    if experiment == "spectrum":
         run = run_spectrum(cfg)
         payload["run"] = run.as_dict()
         _write_eigenvalues(outdir, run)
@@ -322,7 +300,7 @@ def _cmd_run(args):
         print(f"radii {list(lad.report.radii)}  persistent "
               f"{list(lad.report.persistent)}  certified {lad.report.certified}")
     else:  # compare
-        cfg_b = extras["cfg_b"] or free_twin(cfg)
+        payload["config_b"] = cfg_b.as_dict()
         comp = ladder_compare(cfg, cfg_b, extras["radii"],
                               diff_bound=extras["diff_bound"], jobs=args.jobs)
         payload["compare"] = comp.as_dict()
@@ -359,15 +337,14 @@ def _cmd_landau(args):
 
 def _cmd_validate(args):
     settings = parse_config(args.config)
-    experiment, cfg, extras = build_configs(settings, where=args.config)
+    experiment, cfg, _ = build_configs(settings, where=args.config)
     print(f"{args.config}: OK ({experiment})")
-    if experiment != "landau":
-        dom = cfg.domain()
-        print(f"  domain: d={dom.dimension} R={dom.truncation_radius} "
-              f"{dom.truncation_shape}, obstacle "
-              f"{'none' if dom.obstacle is None else type(dom.obstacle).__name__}")
-        print(f"  field: {cfg.fieldspec.kind}, h={cfg.h}, "
-              f"window={cfg.window}, seed={cfg.seed}")
+    dom = cfg.domain()
+    print(f"  domain: d={dom.dimension} R={dom.truncation_radius} "
+          f"{dom.truncation_shape}, obstacle "
+          f"{'none' if dom.obstacle is None else type(dom.obstacle).__name__}")
+    print(f"  field: {cfg.fieldspec.kind}, h={cfg.h}, "
+          f"window={cfg.window}, seed={cfg.seed}")
     return EXIT_OK
 
 

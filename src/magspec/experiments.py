@@ -10,7 +10,7 @@ with bounded count differences while the counts themselves grow.
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,15 @@ class RunConfig:
             raise ValueError("k must be positive")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive")
+
+    def as_dict(self):
+        """Every field as plain data, the way results.json echoes it: the
+        field spec under "field", an obstacle as its kind plus its fields."""
+        out = asdict(self)
+        out["field"] = out.pop("fieldspec")
+        if self.obstacle is not None:
+            out["obstacle"]["kind"] = self.obstacle.kind
+        return out
 
     def domain(self, radius=None):
         return DomainSpec(

@@ -27,6 +27,8 @@ import numpy as np
 OMEGA = 0
 OBSTACLE = 1
 
+TRUNCATION_SHAPES = ("box", "disk")
+
 
 # ── Domain description ─────────────────────────────────────────────────────
 
@@ -35,6 +37,7 @@ OBSTACLE = 1
 class DiskObstacle:
     """Closed ball: points with |x - center| <= radius."""
 
+    kind = "disk"
     center: tuple
     radius: float
 
@@ -62,6 +65,7 @@ class DiskObstacle:
 class BoxObstacle:
     """Closed axis-aligned box: |x_a - center_a| <= halfwidths_a for all a."""
 
+    kind = "box"
     center: tuple
     halfwidths: tuple
 
@@ -89,6 +93,9 @@ class BoxObstacle:
         return float(np.linalg.norm(np.abs(c) + w))
 
 
+OBSTACLE_KINDS = ("none", DiskObstacle.kind, BoxObstacle.kind)
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     """Truncated exterior domain: window of half-width R minus an optional obstacle.
@@ -109,7 +116,7 @@ class DomainSpec:
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
         if not self.truncation_radius > 0:
             raise ValueError(f"truncation_radius must be positive, got {self.truncation_radius}")
-        if self.truncation_shape not in ("box", "disk"):
+        if self.truncation_shape not in TRUNCATION_SHAPES:
             raise ValueError(f"truncation_shape must be 'box' or 'disk', got {self.truncation_shape!r}")
         if self.obstacle is not None:
             if not isinstance(self.obstacle, (DiskObstacle, BoxObstacle)):
@@ -280,13 +287,9 @@ def _collect_inner_faces(region, edges, d):
         sign.append(np.where(om_first, 1, -1).astype(np.int8))
         axis.append(np.full(len(pos), a, dtype=np.int8))
         edge_pos.append(pos)
-    return FaceSet(
-        node=np.concatenate(node) if node else np.empty(0, np.int64),
-        axis=np.concatenate(axis) if axis else np.empty(0, np.int8),
-        sign=np.concatenate(sign) if sign else np.empty(0, np.int8),
-        neighbor=np.concatenate(neighbor) if neighbor else np.empty(0, np.int64),
-        edge_pos=np.concatenate(edge_pos) if edge_pos else np.empty(0, np.int64),
-    )
+    return FaceSet(node=np.concatenate(node), axis=np.concatenate(axis),
+                   sign=np.concatenate(sign), neighbor=np.concatenate(neighbor),
+                   edge_pos=np.concatenate(edge_pos))
 
 
 def _collect_outer_faces(index, d):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,88 @@ def test_window_none(tmp_path):
     _, cfg, _ = build_configs(parse_config(path))
     assert cfg.window is None
     assert cfg.k == 4
+
+
+# ── The schema is RunConfig's ──────────────────────────────────────────────
+
+DISK = {"obstacle": "disk", "obstacle.radius": 1.0}
+BOX = {"obstacle": "box", "obstacle.halfwidths": (1.0, 1.0)}
+RADIAL = {"field": "radial_decay"}
+LADDER = {"experiment": "ladder", "radii": (3.0, 4.0)}
+COMPARE = {"experiment": "compare", "radii": (3.0, 4.0)}
+
+# side key -> (settings, the same settings with the key at another value)
+SIDE_CHANGES = {
+    "obstacle": ({}, DISK),
+    "obstacle.center": (DISK, {**DISK, "obstacle.center": (0.5, 0.0)}),
+    "obstacle.radius": (DISK, {**DISK, "obstacle.radius": 1.5}),
+    "obstacle.halfwidths": (BOX, {**BOX, "obstacle.halfwidths": (1.0, 0.5)}),
+    "gamma": (DISK, {**DISK, "gamma": 0.5}),
+    "field": ({}, RADIAL),
+    "field.b": ({}, {"field.b": 2.0}),
+    "field.b0": (RADIAL, {**RADIAL, "field.b0": 2.0}),
+    "field.p": (RADIAL, {**RADIAL, "field.p": 3.0}),
+}
+
+
+def _side_b(settings):
+    return {**COMPARE, **{"compare." + k: v for k, v in settings.items()}}
+
+
+KEY_CHANGES = {
+    "experiment": ({"radii": (3.0, 4.0)}, LADDER),
+    "dimension": ({}, {"dimension": 3}),
+    "truncation_radius": ({}, {"truncation_radius": 5.0}),
+    "truncation_shape": ({}, {"truncation_shape": "box"}),
+    "h": ({}, {"h": 0.3}),
+    "boundary": (DISK, {**DISK, "boundary": "dirichlet"}),
+    "window": ({}, {"window": None}),
+    "k": ({}, {"k": 5}),
+    "delta": ({}, {"delta": 0.3}),
+    "tol": ({}, {"tol": 1e-6}),
+    "cap": ({}, {"cap": 50}),
+    "seed": ({}, {"seed": 3}),
+    "radii": ({}, {"radii": (3.0, 4.0)}),
+    "diff_bound": (LADDER, {**LADDER, "diff_bound": 4}),
+    **SIDE_CHANGES,
+    **{"compare." + k: (_side_b(a), _side_b(b))
+       for k, (a, b) in SIDE_CHANGES.items()},
+}
+
+
+def test_schema_is_the_run_config_fields():
+    names = {f.name for f in fields(RunConfig)} - {"fieldspec"} | {"field"}
+    cfg = RunConfig()
+    assert set(cfg.as_dict()) == names
+    echo = cli._config_echo(cfg, "spectrum", {"radii": None})
+    assert set(echo) == names | {"experiment"}
+    assert names <= set(cli._KEYS)      # every field can be set from a file
+    assert set(KEY_CHANGES) == set(cli._KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(KEY_CHANGES))
+def test_every_key_changes_the_built_config(key):
+    before, after = KEY_CHANGES[key]
+    assert key not in before or before[key] != after[key]
+    assert build_configs(after) != build_configs(before)
+
+
+@pytest.mark.parametrize("text, unread", [
+    ("obstacle.radius = 2.0\n", "obstacle.radius"),
+    ("obstacle = disk\nobstacle.radius = 1.0\nobstacle.halfwidths = 1 1\n",
+     "obstacle.halfwidths"),
+    ("obstacle = box\nobstacle.halfwidths = 1 1\nobstacle.radius = 1.0\n",
+     "obstacle.radius"),
+    ("field.b0 = 2.0\n", "field.b0"),
+    ("field = radial_decay\nfield.b = 2.0\n", "field.b"),
+    ("field = radial_growth\nfield.b = 2.0\n", "field.b"),
+    ("experiment = compare\nradii = 3 4\ncompare.gamma = 0.7\n",
+     "compare.gamma"),
+    ("compare.field = radial_growth\n", "compare.field"),
+])
+def test_validate_refuses_keys_the_kind_ignores(tmp_path, capsys, text, unread):
+    assert main(["validate", _cfgfile(tmp_path, text)]) == 1
+    assert unread in capsys.readouterr().err
 
 
 # ── validate and landau commands ───────────────────────────────────────────
@@ -252,10 +335,16 @@ def test_run_compare_fail_exit_code(tmp_path, capsys):
     text = SMALL_COMPARE + "compare.field = radial_growth\ncompare.field.p = 1.0\n"
     cfg = _cfgfile(tmp_path, text)
     outdir = tmp_path / "out"
-    assert main(["run", cfg, "--out", str(outdir), "--jobs", "1"]) == 2
+    assert main(["run", cfg, "--out", str(outdir), "--jobs", "1",
+                 "--seed", "5"]) == 2
     data = json.loads((outdir / "results.json").read_text())
     assert data["verdict"] == "FAIL"
     assert data["exit_code"] == 2
+    side_b = data["config_b"]
+    assert side_b["field"]["kind"] == "radial_growth"
+    assert side_b["field"]["p"] == 1.0
+    assert side_b["obstacle"] is None
+    assert side_b["seed"] == data["config"]["seed"] == 5
 
 
 def test_run_jobs_defaults_to_one(tmp_path, monkeypatch):
