@@ -6,9 +6,19 @@ Three subcommands:
     magspec landau [--b B] [--dim D] [--cutoff C] [--json]
     magspec validate CONFIG
 
-Configs are flat ``key = value`` files (# comments allowed).  ``run`` writes
-results.json plus eigenvalues.csv, and ladder.csv for ladder/compare
-experiments, all deterministic for a fixed config and seed; ``--jobs N``
+Configs are flat ``key = value`` files (# comments allowed).  A key the run
+never reads is an error: ``gamma`` and ``boundary`` need an obstacle, ``k``
+needs ``window = none``, ``delta`` and ``cap`` need a window, ``radii`` needs
+a ladder or compare, ``diff_bound`` and ``compare.*`` keys need a compare,
+and an obstacle's or field's sub-keys need the kind that reads them.
+``validate`` also refuses what ``run`` would refuse before or after the
+solve: ``h`` or ``tol`` not finite and positive, ``cap`` below 1, a
+``delta`` wide enough for two level buckets to overlap, and a ladder or
+compare without a window.
+
+``run`` writes results.json, eigenvalues.csv (the run, a ladder's last rung,
+or a compare's side A last rung) and, for ladder/compare experiments,
+ladder.csv, all deterministic for a fixed config and seed; ``--jobs N``
 (default 1) solves ladder rungs in N worker processes.  Exit codes:
 0 success or PASS verdict, 2 FAIL verdict, 3 inconclusive, 1 error.
 """
@@ -17,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import fields, replace
 
 from .assembly import BOUNDARIES, export_coordinate
@@ -173,12 +184,23 @@ def build_configs(settings, where="config"):
     dim = settings.get("dimension", RunConfig.dimension)
     extras = {"radii": settings.get("radii"),
               "diff_bound": settings.get("diff_bound", 10), "cfg_b": None}
-    if experiment != "compare":
-        _refuse_unread(settings, [k for k in settings
-                                  if k.startswith("compare.")], (),
-                       f"experiment = {experiment}", where)
-    if experiment in ("ladder", "compare") and extras["radii"] is None:
-        raise ConfigError(f"{where}: experiment {experiment!r} needs radii")
+    side_b = [k for k in settings if k.startswith("compare.")]
+    read = {"spectrum": (), "ladder": ("radii",),
+            "compare": ("radii", "diff_bound", *side_b)}[experiment]
+    _refuse_unread(settings, ("radii", "diff_bound", *side_b), read,
+                   f"experiment = {experiment}", where)
+    if settings.get("obstacle", "none") == "none":
+        _refuse_unread(settings, ("boundary",), (), "obstacle = none", where)
+    window = settings.get("window", RunConfig.window)
+    _refuse_unread(settings, ("k", "delta", "cap"),
+                   ("k",) if window is None else ("delta", "cap"),
+                   "window = none" if window is None else "a window", where)
+    if experiment in ("ladder", "compare"):
+        if extras["radii"] is None:
+            raise ConfigError(f"{where}: experiment {experiment!r} needs radii")
+        if window is None:
+            raise ConfigError(f"{where}: experiment {experiment!r} needs a "
+                              f"window")
     # RunConfig holds the defaults, so it gets only what the file sets; the
     # file's obstacle and field name kinds, built into objects here
     given = {f.name: settings[f.name] for f in fields(RunConfig)
@@ -195,8 +217,10 @@ def build_configs(settings, where="config"):
                 field_b = _field_from(settings, "compare.", dim, where)
             obstacle_b, gamma_b = _obstacle_from(settings, "compare.", dim,
                                                  where)
-            extras["cfg_b"] = replace(free_twin(cfg, fieldspec=field_b),
-                                      obstacle=obstacle_b, gamma=gamma_b)
+            extras["cfg_b"] = replace(
+                free_twin(cfg, fieldspec=field_b), obstacle=obstacle_b,
+                gamma=gamma_b, boundary=(RunConfig.boundary if obstacle_b
+                                         is None else cfg.boundary))
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{where}: {e}")
     return experiment, cfg, extras
@@ -213,32 +237,25 @@ def _config_echo(cfg, experiment, extras):
 # ── Output files ───────────────────────────────────────────────────────────
 
 
-def _strip_timings(obj):
-    """Drop wall-clock fields so rerunning a config reproduces the file
-    byte for byte."""
-    if isinstance(obj, dict):
-        return {k: _strip_timings(v) for k, v in obj.items() if k != "seconds"}
-    if isinstance(obj, list):
-        return [_strip_timings(v) for v in obj]
-    return obj
-
-
 def _write_json(outdir, payload):
     path = os.path.join(outdir, "results.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_strip_timings(payload), fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
 
 
-def _write_eigenvalues(outdir, run):
-    path = os.path.join(outdir, "eigenvalues.csv")
+def _write_csv(outdir, name, cols, rows):
+    path = os.path.join(outdir, name)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("index,value,residual\n")
-        for i, (v, r) in enumerate(zip(run.result.eigenvalues,
-                                       run.result.residuals)):
-            fh.write(f"{i},{float(v)!r},{float(r)!r}\n")
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(row[c]) if isinstance(row[c], float)
+                              else str(row[c]) for c in cols) + "\n")
     return path
+
+
+_LADDER_COLS = ["radius", "level", "count", "off_cluster_fraction"]
 
 
 def _ladder_rows(ladder_run, side=None):
@@ -251,19 +268,6 @@ def _ladder_rows(ladder_run, side=None):
                 row["side"] = side
             rows.append(row)
     return rows
-
-
-def _write_ladder_csv(outdir, rows, with_side):
-    path = os.path.join(outdir, "ladder.csv")
-    cols = ["radius", "level", "count", "off_cluster_fraction"]
-    if with_side:
-        cols = ["side"] + cols
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols) + "\n")
-    return path
 
 
 # ── Subcommands ────────────────────────────────────────────────────────────
@@ -283,11 +287,12 @@ def _cmd_run(args):
     verdict, exit_code = "ok", EXIT_OK
 
     if experiment == "spectrum":
-        run = run_spectrum(cfg)
-        payload["run"] = run.as_dict()
-        _write_eigenvalues(outdir, run)
-        print(f"n={run.n}  k={run.result.k}  certified={run.result.certified}  "
-              f"{run.seconds:.1f}s")
+        t0 = time.perf_counter()
+        last = run_spectrum(cfg)
+        seconds = time.perf_counter() - t0
+        payload["run"] = last.as_dict()
+        print(f"n={last.n}  k={last.result.k}  "
+              f"certified={last.result.certified}  {seconds:.1f}s")
         if args.export_matrix:
             _, _, op = build_operator(cfg)
             export_coordinate(op, args.export_matrix)
@@ -295,8 +300,8 @@ def _cmd_run(args):
     elif experiment == "ladder":
         lad = run_ladder(cfg, extras["radii"], jobs=args.jobs)
         payload["ladder"] = lad.as_dict()
-        _write_eigenvalues(outdir, lad.rungs[-1])
-        _write_ladder_csv(outdir, _ladder_rows(lad), with_side=False)
+        last = lad.rungs[-1]
+        _write_csv(outdir, "ladder.csv", _LADDER_COLS, _ladder_rows(lad))
         print(f"radii {list(lad.report.radii)}  persistent "
               f"{list(lad.report.persistent)}  certified {lad.report.certified}")
     else:  # compare
@@ -304,14 +309,19 @@ def _cmd_run(args):
         comp = ladder_compare(cfg, cfg_b, extras["radii"],
                               diff_bound=extras["diff_bound"], jobs=args.jobs)
         payload["compare"] = comp.as_dict()
-        _write_eigenvalues(outdir, comp.ladder_a.rungs[-1])
+        last = comp.ladder_a.rungs[-1]
         rows = _ladder_rows(comp.ladder_a, "a") + _ladder_rows(comp.ladder_b, "b")
-        _write_ladder_csv(outdir, rows, with_side=True)
+        _write_csv(outdir, "ladder.csv", ["side"] + _LADDER_COLS, rows)
         verdict = comp.verdict
         exit_code = {"PASS": EXIT_OK, "FAIL": EXIT_FAIL,
                      "INCONCLUSIVE": EXIT_INCONCLUSIVE}[comp.verdict]
         print(f"verdict: {comp.verdict}  ({comp.reason})")
 
+    res = last.result
+    _write_csv(outdir, "eigenvalues.csv", ["index", "value", "residual"],
+               [{"index": i, "value": float(v), "residual": float(r)}
+                for i, (v, r) in enumerate(zip(res.eigenvalues,
+                                               res.residuals))])
     payload["experiment"] = experiment
     payload["verdict"] = verdict
     payload["exit_code"] = exit_code

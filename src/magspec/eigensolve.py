@@ -613,6 +613,12 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
                    f"lowest-{k} below {edges[1]:.6g}", keep=k)
 
 
+def _check_tol(tol):
+    # a residual can never reach a tol <= 0, so every restart would be spent
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def eigs_lowest(op, k, tol=1e-8, seed=0, method="lanczos",
                 return_vectors=True):
     """k smallest eigenvalues with residual certificates.
@@ -627,6 +633,7 @@ def eigs_lowest(op, k, tol=1e-8, seed=0, method="lanczos",
     """
     if k < 1 or k > op.n:
         raise ValueError(f"k must be in 1..{op.n}, got {k}")
+    _check_tol(tol)
     if method not in ("lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
     if method == "dense":
@@ -652,6 +659,7 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
         raise ValueError(f"empty window: [{a}, {b}]")
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
+    _check_tol(tol)
     if method not in ("lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
     scale = _operator_scale(op.mat)

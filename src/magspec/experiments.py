@@ -8,16 +8,15 @@ stability-of-essential-spectrum reasoning: identical persistent cluster sets
 with bounded count differences while the counts themselves grow.
 """
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import BOUNDARIES, assemble
 from .fields import FieldSpec, link_phases
 from .geometry import BoxObstacle, DiskObstacle, DomainSpec, build_grid
-from .spectra import cluster_report, ladder_report, model_for_field
+from .spectra import check_delta, cluster_report, ladder_report, model_for_field
 from .eigensolve import eigs_lowest, eigs_window
 
 VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")
@@ -53,15 +52,31 @@ class RunConfig:
             raise TypeError("obstacle must be DiskObstacle, BoxObstacle or None")
         if self.obstacle is None and self.gamma != 0.0:
             raise ValueError("gamma without an obstacle has no boundary to act on")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"boundary must be one of {BOUNDARIES}, got "
+                             f"{self.boundary!r}")
+        if self.obstacle is None and self.boundary != RunConfig.boundary:
+            raise ValueError("boundary without an obstacle has no boundary "
+                             "to act on")
+        for name in ("h", "tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got "
+                                 f"{value}")
+        if self.cap < 1:
+            raise ValueError(f"cap must be positive, got {self.cap}")
+        if self.k < 1:
+            raise ValueError("k must be positive")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValueError("delta must be positive")
         if self.window is not None:
             a, b = self.window
             if not b >= a:
                 raise ValueError(f"empty window [{a}, {b}]")
             object.__setattr__(self, "window", (float(a), float(b)))
-        if self.k < 1:
-            raise ValueError("k must be positive")
-        if not (np.isfinite(self.delta) and self.delta > 0):
-            raise ValueError("delta must be positive")
+            # the delta that cluster_report would refuse after the solve
+            check_delta(model_for_field(self.fieldspec, cutoff=float(b)),
+                        self.delta)
 
     def as_dict(self):
         """Every field as plain data, the way results.json echoes it: the
@@ -108,9 +123,7 @@ class SpectrumRun:
     radius: float
     n: int
     result: object
-    model: object
     report: object
-    seconds: float
 
     def as_dict(self):
         out = {
@@ -120,7 +133,6 @@ class SpectrumRun:
             "residuals": [float(x) for x in self.result.residuals],
             "certified": bool(self.result.certified),
             "method": self.result.info.method,
-            "seconds": self.seconds,
         }
         out["cluster_report"] = self.report.as_dict() if self.report else None
         return out
@@ -128,8 +140,7 @@ class SpectrumRun:
 
 def run_spectrum(cfg, radius=None):
     """Solve one rung: window census when cfg.window is set, else lowest-k."""
-    t0 = time.perf_counter()
-    grid, phases, op = build_operator(cfg, radius)
+    _, _, op = build_operator(cfg, radius)
     if cfg.window is not None:
         a, b = cfg.window
         result = eigs_window(op, a, b, tol=cfg.tol, cap=cfg.cap, seed=cfg.seed)
@@ -138,12 +149,9 @@ def run_spectrum(cfg, radius=None):
     else:
         result = eigs_lowest(op, cfg.k, tol=cfg.tol, seed=cfg.seed,
                              return_vectors=False)
-        model = model_for_field(cfg.fieldspec,
-                                cutoff=float(result.eigenvalues[-1]))
         report = None
-    dt = time.perf_counter() - t0
     rad = float(cfg.truncation_radius if radius is None else radius)
-    return SpectrumRun(rad, op.n, result, model, report, dt)
+    return SpectrumRun(rad, op.n, result, report)
 
 
 # ── Ladders ────────────────────────────────────────────────────────────────
@@ -156,7 +164,6 @@ def _rung_worker(args):
 
 @dataclass
 class LadderRun:
-    config: RunConfig
     rungs: list
     report: object          # LadderReport
 
@@ -178,7 +185,7 @@ def run_ladder(cfg, radii, jobs=1):
     else:
         rungs = [run_spectrum(cfg, r) for r in radii]
     rep = ladder_report(radii, [r.report for r in rungs])
-    return LadderRun(cfg, rungs, rep)
+    return LadderRun(rungs, rep)
 
 
 # ── Comparison verdicts ────────────────────────────────────────────────────
@@ -249,5 +256,5 @@ def compare_verdict(rep_a, rep_b, diff_bound=10):
 def free_twin(cfg, fieldspec=None):
     """Side-B builder: the same config without the obstacle, optionally with a
     different field (for negative controls)."""
-    return replace(cfg, obstacle=None, gamma=0.0,
+    return replace(cfg, obstacle=None, gamma=0.0, boundary=RunConfig.boundary,
                    fieldspec=cfg.fieldspec if fieldspec is None else fieldspec)

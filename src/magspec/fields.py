@@ -226,29 +226,23 @@ def plaquette_sums(grid, phases, plane=(0, 1)):
     if phases.grid is not grid:
         raise ValueError("phases were built for a different grid")
     a, b = plane
-    out_phase = []
+    # per node, the position in grid.edges[axis] of the edge that starts
+    # there, or -1
+    first = []
     for ax in (a, b):
-        arr = np.full(grid.n_nodes, np.nan)
         i_idx, _ = grid.edges[ax]
-        arr[i_idx] = phases.theta[ax]
-        out_phase.append(arr)
-    # neighbor row lookup along each axis of the plane
-    nb = []
-    for ax in (a, b):
-        arr = np.full(grid.n_nodes, -1, dtype=np.int64)
-        i_idx, j_idx = grid.edges[ax]
-        arr[i_idx] = j_idx
-        nb.append(arr)
-    corners = np.arange(grid.n_nodes)
-    right = nb[0][corners]
-    up = nb[1][corners]
-    ok = (right >= 0) & (up >= 0)
-    # all four edges must exist: bottom, right (from right corner, along b),
-    # top (from up corner, along a), left
-    bottom = out_phase[0][corners]
-    left = out_phase[1][corners]
-    rightedge = np.where(ok, out_phase[1][np.where(ok, right, 0)], np.nan)
-    topedge = np.where(ok, out_phase[0][np.where(ok, up, 0)], np.nan)
-    sums = bottom + rightedge - topedge - left
-    good = ~np.isnan(sums)
-    return corners[good], sums[good]
+        pos = np.full(grid.n_nodes, -1, dtype=np.int64)
+        pos[i_idx] = np.arange(len(i_idx))
+        first.append(pos)
+    first_a, first_b = first
+    corners = np.nonzero((first_a >= 0) & (first_b >= 0))[0]
+    bottom, left = first_a[corners], first_b[corners]
+    # the other two edges: along b from the right corner, along a from the
+    # upper corner
+    right = first_b[grid.edges[a][1][bottom]]
+    top = first_a[grid.edges[b][1][left]]
+    ok = (right >= 0) & (top >= 0)
+    theta_a, theta_b = phases.theta[a], phases.theta[b]
+    sums = (theta_a[bottom[ok]] + theta_b[right[ok]] - theta_a[top[ok]]
+            - theta_b[left[ok]])
+    return corners[ok], sums

@@ -267,7 +267,7 @@ def build_grid(spec, h):
         edges.append((i_idx[keep], j_idx[keep]))
 
     inner_faces = _collect_inner_faces(region, edges, d)
-    outer_faces = _collect_outer_faces(index, d)
+    outer_faces = _collect_outer_faces(n, edges)
     return MaskedGrid(spec, float(h), coords, region, edges, inner_faces, outer_faces,
                       _index=index, _origin=origin)
 
@@ -292,17 +292,16 @@ def _collect_inner_faces(region, edges, d):
                    edge_pos=np.concatenate(edge_pos))
 
 
-def _collect_outer_faces(index, d):
+def _collect_outer_faces(n, edges):
+    # every lattice point strictly inside the window is a node: a node lacks
+    # its neighbour at +e_a (-e_a) when no edge along a starts (ends) there
     node, axis, sign = [], [], []
-    padded = np.pad(index, 1, constant_values=-1)
-    core = tuple(slice(1, -1) for _ in range(d))
-    for a in range(d):
-        for s in (1, -1):
-            shifted = np.roll(padded, -s, axis=a)[core]
-            mask = (index >= 0) & (shifted < 0)
-            node.append(index[mask])
-            axis.append(np.full(int(mask.sum()), a, dtype=np.int8))
-            sign.append(np.full(int(mask.sum()), s, dtype=np.int8))
+    for a, ends in enumerate(edges):
+        for s, end in zip((1, -1), ends):
+            lone = np.setdiff1d(np.arange(n), end, assume_unique=True)
+            node.append(lone)
+            axis.append(np.full(len(lone), a, dtype=np.int8))
+            sign.append(np.full(len(lone), s, dtype=np.int8))
     node = np.concatenate(node)
     axis = np.concatenate(axis)
     sign = np.concatenate(sign)

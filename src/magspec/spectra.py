@@ -140,6 +140,16 @@ class ClusterReport:
         }
 
 
+def check_delta(model, delta):
+    """Refuse a bucket half-width that is not positive, or that would make
+    the buckets of two neighbouring levels overlap."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive, got {delta}")
+    levels = model.levels
+    if len(levels) > 1 and 2.0 * delta >= np.min(np.diff(levels)):
+        raise ValueError("delta too wide: bucket intervals would overlap")
+
+
 def cluster_report(evs, model, delta, window, certified=None):
     """Bucket eigenvalues near model levels; everything else is off-cluster.
 
@@ -153,8 +163,7 @@ def cluster_report(evs, model, delta, window, certified=None):
     a, b = float(window[0]), float(window[1])
     if not b >= a:
         raise ValueError(f"empty window [{a}, {b}]")
-    if not (np.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be positive, got {delta}")
+    check_delta(model, delta)
     w = vals[(vals >= a) & (vals <= b)]
     total = len(w)
 
@@ -169,8 +178,6 @@ def cluster_report(evs, model, delta, window, certified=None):
                              total - above, certified)
 
     levels = np.asarray(model.levels)
-    if len(levels) > 1 and 2.0 * delta >= np.min(np.diff(levels)):
-        raise ValueError("delta too wide: bucket intervals would overlap")
     nearest = np.argmin(np.abs(w[:, None] - levels[None, :]), axis=1)
     buckets = []
     off = 0
@@ -220,17 +227,11 @@ def persistent_levels(reports):
     for r in reports[1:]:
         if r.model != model:
             raise ValueError("reports mix different spectrum models")
-    if model.kind == "empty":
-        return ()
-    if model.kind == "half_line":
-        counts = [r.buckets[0].count for r in reports]
-        ok = counts[0] > 0 and all(c2 >= c1 for c1, c2 in zip(counts, counts[1:]))
-        return (float(model.threshold),) if ok else ()
     out = []
-    for lev in model.levels:
-        counts = [r.count_for(lev) for r in reports]
+    for bucket in reports[0].buckets:
+        counts = [r.count_for(bucket.level) for r in reports]
         if counts[0] > 0 and all(c2 >= c1 for c1, c2 in zip(counts, counts[1:])):
-            out.append(float(lev))
+            out.append(bucket.level)
     return tuple(out)
 
 

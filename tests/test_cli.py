@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -147,20 +148,20 @@ def _side_b(settings):
 
 
 KEY_CHANGES = {
-    "experiment": ({"radii": (3.0, 4.0)}, LADDER),
+    "experiment": (LADDER, COMPARE),
     "dimension": ({}, {"dimension": 3}),
     "truncation_radius": ({}, {"truncation_radius": 5.0}),
     "truncation_shape": ({}, {"truncation_shape": "box"}),
     "h": ({}, {"h": 0.3}),
     "boundary": (DISK, {**DISK, "boundary": "dirichlet"}),
     "window": ({}, {"window": None}),
-    "k": ({}, {"k": 5}),
+    "k": ({"window": None}, {"window": None, "k": 5}),
     "delta": ({}, {"delta": 0.3}),
     "tol": ({}, {"tol": 1e-6}),
     "cap": ({}, {"cap": 50}),
     "seed": ({}, {"seed": 3}),
-    "radii": ({}, {"radii": (3.0, 4.0)}),
-    "diff_bound": (LADDER, {**LADDER, "diff_bound": 4}),
+    "radii": (LADDER, {**LADDER, "radii": (3.0, 5.0)}),
+    "diff_bound": (COMPARE, {**COMPARE, "diff_bound": 4}),
     **SIDE_CHANGES,
     **{"compare." + k: (_side_b(a), _side_b(b))
        for k, (a, b) in SIDE_CHANGES.items()},
@@ -196,10 +197,56 @@ def test_every_key_changes_the_built_config(key):
     ("experiment = compare\nradii = 3 4\ncompare.gamma = 0.7\n",
      "compare.gamma"),
     ("compare.field = radial_growth\n", "compare.field"),
+    ("window = 0 2\nk = 7\n", "k"),
+    ("window = none\ndelta = 0.2\n", "delta"),
+    ("window = none\ncap = 50\n", "cap"),
+    ("radii = 3 4\n", "radii"),
+    ("diff_bound = 2\n", "diff_bound"),
+    ("experiment = ladder\nradii = 3 4\ndiff_bound = 4\n", "diff_bound"),
+    ("boundary = dirichlet\n", "boundary"),
+    ("boundary = robin\n", "boundary"),
 ])
 def test_validate_refuses_keys_the_kind_ignores(tmp_path, capsys, text, unread):
     assert main(["validate", _cfgfile(tmp_path, text)]) == 1
     assert unread in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, why", [
+    ("h = -0.1\n", "h must be finite and positive"),
+    ("h = nan\n", "h must be finite and positive"),
+    ("tol = -1\n", "tol must be finite and positive"),
+    ("tol = 0\n", "tol must be finite and positive"),
+    ("cap = 0\n", "cap must be positive"),
+    ("delta = 1.5\n", "delta too wide"),
+    ("experiment = ladder\nradii = 3 4\nwindow = none\n", "needs a window"),
+    ("experiment = compare\nradii = 3 4\nwindow = none\n",
+     "needs a window"),
+])
+def test_validate_refuses_values_that_run_refuses(tmp_path, capsys, text, why):
+    assert main(["validate", _cfgfile(tmp_path, text)]) == 1
+    assert why in capsys.readouterr().err
+
+
+def test_side_b_reads_boundary_only_with_an_obstacle():
+    walled = {**COMPARE, **DISK, "boundary": "dirichlet"}
+    _, cfg, extras = build_configs(walled)
+    assert cfg.boundary == "dirichlet"
+    assert extras["cfg_b"].obstacle is None
+    assert extras["cfg_b"].boundary == RunConfig.boundary
+    _, _, extras = build_configs({**walled, "compare.obstacle": "box",
+                                  "compare.obstacle.halfwidths": (0.8, 0.8)})
+    assert extras["cfg_b"].boundary == "dirichlet"
+
+
+def test_readme_comparison_config_validates(tmp_path, capsys):
+    # the README's complete comparison example must stay a valid config
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    # fenced blocks: every other ``` line opens one
+    blocks = re.split(r"^```.*\n", readme, flags=re.M)[1::2]
+    example = [b for b in blocks if b.startswith("experiment = compare")]
+    assert len(example) == 1
+    assert main(["validate", _cfgfile(tmp_path, example[0])]) == 0
+    assert "OK (compare)" in capsys.readouterr().out
 
 
 # ── validate and landau commands ───────────────────────────────────────────
@@ -269,7 +316,7 @@ def test_run_spectrum_outputs(tmp_path, capsys):
     assert data["experiment"] == "spectrum"
     assert data["config"]["h"] == 0.3
     assert data["run"]["certified"] is True
-    assert "seconds" not in data["run"]
+    assert not _keys_named("seconds", data)
     lines = (outdir / "eigenvalues.csv").read_text().splitlines()
     assert lines[0] == "index,value,residual"
     assert len(lines) == 1 + len(data["run"]["eigenvalues"])
@@ -307,12 +354,23 @@ def test_run_export_matrix(tmp_path, capsys):
     assert (back - op.mat).nnz == 0
 
 
+def _keys_named(name, obj):
+    """Every key `name` at any depth of a JSON payload."""
+    if isinstance(obj, dict):
+        return [k for k in obj if k == name] + [
+            hit for v in obj.values() for hit in _keys_named(name, v)]
+    if isinstance(obj, list):
+        return [hit for v in obj for hit in _keys_named(name, v)]
+    return []
+
+
 def test_run_ladder_outputs(tmp_path, capsys):
     cfg = _cfgfile(tmp_path, SMALL_LADDER)
     outdir = tmp_path / "out"
     assert main(["run", cfg, "--out", str(outdir), "--jobs", "1"]) == 0
     data = json.loads((outdir / "results.json").read_text())
     assert data["ladder"]["ladder"]["persistent"] == [1.0]
+    assert not _keys_named("seconds", data)
     lines = (outdir / "ladder.csv").read_text().splitlines()
     assert lines[0] == "radius,level,count,off_cluster_fraction"
     assert len(lines) == 3              # one row per (radius, level)
@@ -325,6 +383,7 @@ def test_run_compare_pass(tmp_path, capsys):
     data = json.loads((outdir / "results.json").read_text())
     assert data["verdict"] == "PASS"
     assert data["exit_code"] == 0
+    assert not _keys_named("seconds", data)
     lines = (outdir / "ladder.csv").read_text().splitlines()
     assert lines[0].startswith("side,")
     assert any(line.startswith("a,") for line in lines[1:])
@@ -365,7 +424,8 @@ def test_run_jobs_defaults_to_one(tmp_path, monkeypatch):
 
 
 def test_run_nonconvergence_is_error(tmp_path, capsys):
-    cfg = _cfgfile(tmp_path, SMALL_SPECTRUM + "tol = 0\n")
+    # positive, but far below what rounding lets a residual reach
+    cfg = _cfgfile(tmp_path, SMALL_SPECTRUM + "tol = 1e-300\n")
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "solver did not converge" in capsys.readouterr().err
 

@@ -251,10 +251,27 @@ def test_lowest_validation():
         eigs_lowest(op, 2, method="auto")
 
 
+@pytest.mark.parametrize("method", ["lanczos", "dense"])
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_bad_tol_is_refused_before_factorising(monkeypatch, method, tol):
+    # no residual reaches a tol <= 0 or nan: the sliced path would spend
+    # every restart before it raised NonConvergence
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factorised before checking tol")
+
+    monkeypatch.setattr(eigensolve, "_factor", no_factor)
+    op = _lattice_op(h=0.3)
+    with pytest.raises(ValueError, match="tol"):
+        eigs_lowest(op, 5, tol=tol, method=method)
+    with pytest.raises(ValueError, match="tol"):
+        eigs_window(op, 0.0, 3.0, tol=tol, method=method)
+
+
 def test_nonconvergence_carries_partial():
     op = _lattice_op(h=0.3)
     with pytest.raises(NonConvergence) as exc:
-        eigs_lowest(op, 5, tol=0.0, method="lanczos")
+        # positive, but far below what rounding lets a residual reach
+        eigs_lowest(op, 5, tol=1e-300, method="lanczos")
     part = exc.value.partial
     assert part is not None and not part.certified
     assert len(part.eigenvalues) == 5
@@ -694,7 +711,7 @@ def test_indefinite_windows_converge():
 def test_window_nonconvergence_carries_partial():
     op = _lattice_op(h=0.3)
     with pytest.raises(NonConvergence) as exc:
-        eigs_window(op, 0.0, 3.0, tol=0.0, method="lanczos")
+        eigs_window(op, 0.0, 3.0, tol=1e-300, method="lanczos")
     part = exc.value.partial
     assert part is not None and not part.certified
     assert not part.info.converged

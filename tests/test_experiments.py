@@ -35,6 +35,31 @@ def test_config_validation():
         RunConfig(obstacle="disk")
 
 
+@pytest.mark.parametrize("kw", [
+    dict(h=-0.1), dict(h=0.0), dict(h=float("nan")), dict(h=float("inf")),
+    dict(tol=-1.0), dict(tol=0.0), dict(tol=float("nan")),
+    dict(cap=0),
+    dict(boundary="neumann"),
+    dict(boundary="dirichlet"),                   # no obstacle to act on
+    dict(delta=1.5),                              # levels 1, 3, 5 overlap
+    pytest.param(dict(window=(0.0, 2.0), delta=1.5,
+                      fieldspec=FieldSpec.constant(0.5, 2)),
+                 id="delta=1.5,levels=0.5,1.5"),
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_config_refuses_values_the_run_would_refuse(kw):
+    with pytest.raises(ValueError):
+        RunConfig(**kw)
+
+
+def test_config_delta_is_checked_against_the_window_model():
+    # one level below the cutoff, a half line and an empty model have no
+    # two buckets to overlap; lowest-k mode has no buckets at all
+    RunConfig(window=(0.0, 2.0), delta=1.5)
+    RunConfig(dimension=3, fieldspec=FieldSpec.constant(1.0, 3), delta=1.5)
+    RunConfig(fieldspec=FieldSpec.radial_growth(1.0, 2.0), delta=1.5)
+    RunConfig(window=None, delta=1.5)
+
+
 def test_config_window_normalized():
     cfg = RunConfig(window=(0, 6))
     assert cfg.window == (0.0, 6.0)
@@ -68,7 +93,7 @@ def test_run_spectrum_window_mode():
     run = run_spectrum(_small_cfg())
     assert run.result.certified
     assert run.report is not None
-    assert run.model.kind == "landau_set"
+    assert run.report.model.kind == "landau_set"
     assert run.report.total == run.result.k
     d = run.as_dict()
     assert d["n"] == run.n
