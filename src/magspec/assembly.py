@@ -49,6 +49,13 @@ class HermitianOperator:
     nodes  row -> grid node index (identity for full-grid operators)
     meta   h, gamma, boundary, region, field, domain, dimension
 
+    rotation  row -> row of its node turned by x -> (-x2, x1) in the plane
+              of axes 0 and 1, or None; assemble records it when the region
+              is closed under the turn, and eigs_window solves one rotation
+              sector at a time when H commutes with it.  shifted keeps it;
+              from_matrix, direct_sum and dataclasses.replace start without
+              it, so a replaced mat is never paired with a stale turn.
+
     An operator is not modified after assembly: build a new one (shifted,
     dataclasses.replace, from_matrix) instead of rebinding or editing mat.
     The resolvent probes rely on this when they keep the sparse LU of
@@ -60,6 +67,8 @@ class HermitianOperator:
     nodes: np.ndarray
     region: str
     meta: dict = field(default_factory=dict)
+    rotation: np.ndarray | None = field(default=None, init=False, repr=False,
+                                        compare=False)
     _lu: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
@@ -86,6 +95,7 @@ class HermitianOperator:
             (self.mat + c * sp.identity(self.n, dtype=complex, format="csr")).tocsr(),
             self.nodes, self.region, dict(self.meta))
         out.meta["shift"] = self.meta.get("shift", 0.0) + c
+        out.rotation = self.rotation
         return out
 
     @staticmethod
@@ -182,7 +192,20 @@ def assemble(grid, phases, region="omega", gamma=0.0, boundary="robin"):
         "field": phases.field,
         "domain": grid.spec,
     }
-    return HermitianOperator(mat, np.nonzero(in_region)[0], region, meta)
+    op = HermitianOperator(mat, np.nonzero(in_region)[0], region, meta)
+    op.rotation = _quarter_turn(grid, op.nodes, row_of)
+    return op
+
+
+def _quarter_turn(grid, nodes, row_of):
+    """Row of each node's image under x -> (-x2, x1), or None when an image
+    is not a node of the region."""
+    coords = grid.coords[nodes]
+    turned = coords.copy()
+    turned[:, 0], turned[:, 1] = -coords[:, 1], coords[:, 0]
+    image = grid.node_at(turned)
+    rows = row_of[image]
+    return None if np.any(image < 0) or np.any(rows < 0) else rows
 
 
 def direct_sum(op_omega, op_obstacle):

@@ -19,7 +19,9 @@ compare without a window.
 ``run`` writes results.json, eigenvalues.csv (the run, a ladder's last rung,
 or a compare's side A last rung) and, for ladder/compare experiments,
 ladder.csv, all deterministic for a fixed config and seed; ``--jobs N``
-(default 1) solves ladder rungs in N worker processes.  Exit codes:
+(default 1) solves ladder rungs in N worker processes.  ``--export-matrix``
+writes the operator of a spectrum run and is refused on a ladder or
+compare, before anything is solved.  Exit codes:
 0 success or PASS verdict, 2 FAIL verdict, 3 inconclusive, 1 error.
 """
 
@@ -230,6 +232,7 @@ def _config_echo(cfg, experiment, extras):
     echo = {"experiment": experiment, **cfg.as_dict()}
     if extras["radii"] is not None:
         echo["radii"] = list(extras["radii"])
+    if experiment == "compare":
         echo["diff_bound"] = extras["diff_bound"]
     return echo
 
@@ -276,6 +279,9 @@ def _ladder_rows(ladder_run, side=None):
 def _cmd_run(args):
     settings = parse_config(args.config)
     experiment, cfg, extras = build_configs(settings, where=args.config)
+    if args.export_matrix and experiment != "spectrum":
+        raise ConfigError(f"--export-matrix exports the operator of a "
+                          f"spectrum run; {args.config} is a {experiment}")
     cfg_b = extras["cfg_b"]
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

@@ -14,6 +14,18 @@ Both hand their edge counts to _sliced, the one driver of the result: it
 refuses unusable or non-monotone counts, splits the census into slices by
 inertia bisection and solves each by shift-invert Lanczos.
 
+A window of an operator of at least _SECTOR_MIN_ROWS rows that commutes
+with its quarter turn U (recorded by assemble for regions closed under
+x -> (-x2, x1): a centred disk or box window, no obstacle or a centred disk
+or square one, under a constant or radial field) is solved one rotation
+sector at a time: _rotation_sectors splits H into four blocks
+H_m = B_m^H H B_m of about n/4 rows, the eigenspaces of U, and _sliced
+counts and slices each.  They are taken only when no entry of
+U H U^H - H exceeds _TURN_TOL max|diag H|, and what certifies them stays
+on H: the sector counts at the window edges must add up to the full
+operator's own, and every residual is that of the embedded vector B_m v on
+H.  info.sectors is 4 on that path and 1 otherwise.
+
 method is "lanczos" (the sliced path, the default) or "dense" (LAPACK, kept
 only as the oracle that tests compare against).  Both paths widen a
 window's edges outward by _EDGE_PAD * max|diag H|, so an eigenvalue on an
@@ -46,6 +58,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
+from .assembly import HermitianOperator
+
 _SLICE_MAX = 110          # eigenvalues per shift-invert slice
 _BREAKDOWN = 1e-13
 _BISECT_STEPS = 60        # halvings of the lowest-k bracket before settling
@@ -57,6 +71,17 @@ _SOLVE_PIVOT = 0.1        # least diagonal pivot of the solves' LU, x column
 _GS_PASSES = 3            # most full Gram-Schmidt passes per Krylov step
 _DGKS = 2.0 ** -0.5       # a pass keeping less of the norm is repeated
 _MAX_RESTARTS = 80        # shift-invert cycles per slice before giving up
+# most |U H U^H - H| entry for the sector path, x max|diag H|: above the
+# 48 eps that the rounding of radial-field phases reached (radial_growth,
+# b0 = 0.5, p = 3, box of R = 6), while the couplings the sectors drop, at
+# most 7 such entries per row, stay a tenth of the window pad _EDGE_PAD
+_TURN_TOL = 64 * np.finfo(float).eps
+_QUARTER = np.array([1.0, -1j, -1.0, 1j])   # (-i)^k
+# fewest rows for the sector path: below it four sector LUs and Krylov
+# set-ups cost more than the shorter steps save (1 BLAS thread, disk
+# windows: break-even near n = 1000 at a census of 40 and near n = 3500 at
+# a census of 21; at n = 8456 and a census of 53 sectors take 0.44 the time)
+_SECTOR_MIN_ROWS = 4000
 
 
 @dataclass
@@ -66,6 +91,7 @@ class SolverInfo:
     tolerance: float
     converged: bool
     message: str = ""
+    sectors: int = 1            # rotation sectors solved one at a time
 
 
 @dataclass
@@ -483,8 +509,75 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, scale, return_vectors):
     return pairs(vals, res, vecs, sel, False)
 
 
+# ── Rotation sectors ───────────────────────────────────────────────────────
+
+
+def _rotation_sectors(op, scale):
+    """[(H_m, B_m) for m = 0..3] when op commutes with its quarter turn U,
+    else None; scale is max|diag H|.
+
+    op.rotation, recorded by assemble, maps each row to the row of its node
+    turned by x -> (-x2, x1).  U commutes with H when no entry of U H U^H - H
+    exceeds _TURN_TOL * scale: they are exactly equal for a constant field
+    and equal to rounding of the phases for the azimuthal gauge of a radial
+    one.  An orbit {x, Ux, U^2 x, U^3 x} has four rows, or one for a node
+    the turn fixes.  B_m has one column per orbit, with (-i)^(m k) / 2 on
+    the row of U^k x, so that U B_m = i^m B_m; a fixed node is a column of
+    B_0 alone, after the orbits.  The B_m are orthonormal and together span
+    C^n, so H is unitarily similar to the block sum of the H_m = B_m^H H B_m
+    up to the couplings dropped between sectors, no larger than the turn's
+    mismatch.
+
+    H_m sums conj(c_i) H_ij c_j over the nonzeros H_ij into entry (col i,
+    col j), c the entries of B_m.  The turn maps the term of (i, j) to the
+    equal term of (U i, U j), so only the rows of each orbit's first node
+    are summed, four times, and those of fixed nodes once; averaging each
+    block with its conjugate transpose makes it exactly Hermitian.
+    """
+    rot = op.rotation
+    if rot is None:
+        return None
+    n = op.n
+    coo = op.mat.tocoo()
+    turned = sp.csr_matrix((coo.data, (rot[coo.row], rot[coo.col])),
+                           shape=(n, n))
+    if abs(turned - op.mat).max() > _TURN_TOL * scale:
+        return None
+    rows = np.arange(n)
+    powers = (rows, rot, rot[rot], rot[rot[rot]])
+    fixed = rot == rows
+    lead = np.nonzero((rows == np.minimum.reduce(powers)) & ~fixed)[0]
+    n4 = len(lead)
+    if n4 == 0:
+        return None
+    col = np.empty(n, dtype=np.int64)
+    turns = np.zeros(n, dtype=np.int64)
+    for k, power in enumerate(powers):
+        col[power[lead]] = np.arange(n4)
+        turns[power[lead]] = k
+    size = n4 + np.count_nonzero(fixed)
+    col[fixed] = np.arange(n4, size)
+    own = turns[coo.row] == 0           # first nodes of orbits, fixed nodes
+    i, j = coo.row[own], coo.col[own]
+    terms = coo.data[own] * np.where(fixed[i], 1.0, 4.0)
+    sectors = []
+    for m in range(4):
+        c = 0.5 * _QUARTER[(m * turns) % 4]
+        c[fixed] = 1.0 if m == 0 else 0.0
+        dim = size if m == 0 else n4    # sectors m != 0 have no fixed nodes
+        block = sp.csr_matrix((terms * c[i].conj() * c[j], (col[i], col[j])),
+                              shape=(size, size))[:dim, :dim]
+        basis = sp.csr_matrix((c, (rows, col)), shape=(n, size))[:, :dim]
+        sectors.append((HermitianOperator.from_matrix(
+            0.5 * (block + block.conj().T)), basis))
+    return sectors
+
+
+# ── The sliced driver ──────────────────────────────────────────────────────
+
+
 def _sliced(op, lo, hi, na, nb, tol, seed, return_vectors, what,
-            window=None, keep=None):
+            window=None, keep=None, sectors=None):
     """SpectrumResult of the nb - na eigenvalues in [lo, hi), the census
     given by the inertia counts na at lo and nb at hi; the lowest keep of
     them when keep is set.  what names the query in info.message.
@@ -495,39 +588,64 @@ def _sliced(op, lo, hi, na, nb, tol, seed, return_vectors, what,
     result is certified when every bisection count lies between the counts
     of its sub-window's ends and the pieces add up to the census.  When a
     slice runs out of restarts, raises NonConvergence carrying the result.
+
+    With sectors, the [(H_m, B_m)] of _rotation_sectors, each H_m is
+    counted at lo and hi and sliced the same way.  The sector counts must
+    add up to na and nb, or there are no pairs and certified=False; each
+    pair found in H_m is embedded as B_m v, and its residual is computed
+    on H, where it must meet tol like every other.
     """
     rng = np.random.default_rng(seed)
     scale = _operator_scale(op.mat)
     floor = 1e-10 * scale           # narrower sub-windows are not split
+    parts = [(op, None)] if sectors is None else sectors
     pieces = []
     problems = []
     matvecs = 0
     converged = True
     census = None
+    stack = []
     if na is None or nb is None:
         problems.append("inertia factorization infeasible")
     elif nb < na:
         problems.append(f"non-monotone inertia counts {na}, {nb} at {lo}, {hi}")
     else:
         census = nb - na
-    stack = [] if census is None else [(lo, hi, na, nb)]
+    if census is not None and sectors is not None:
+        counts = [(inertia_count(sub, lo, _scale=scale, direction=-1.0),
+                   inertia_count(sub, hi, _scale=scale, direction=1.0))
+                  for sub, _ in sectors]
+        if any(c is None for pair in counts for c in pair):
+            problems.append("sector inertia factorization infeasible")
+        elif tuple(map(sum, zip(*counts))) != (na, nb):
+            problems.append(f"sector counts {counts} at {lo}, {hi} do not "
+                            f"add up to {na}, {nb}")
+        else:
+            stack = [(s, lo, hi, *counts[s]) for s in reversed(range(4))]
+    elif census is not None:
+        stack = [(0, lo, hi, na, nb)]
     while stack and converged:
-        p, q, np_, nq = stack.pop()
+        s, p, q, np_, nq = stack.pop()
+        sub, basis = parts[s]
         m = nq - np_
         if m == 0:
             continue
         if m <= _SLICE_MAX or q - p <= floor:
             vals, res, vecs, mv, converged = _slice_eigs(
-                op, p, q, m, tol, rng, scale, return_vectors)
+                sub, p, q, m, tol, rng, scale,
+                return_vectors or basis is not None)
+            if basis is not None:
+                vecs = basis @ vecs
+                res = _residuals(op, vals, vecs)
             matvecs += mv
             pieces.append((vals, res, vecs))
             continue
         mid = 0.5 * (p + q)
-        nm = inertia_count(op, mid, _scale=scale)
+        nm = inertia_count(sub, mid, _scale=scale)
         if nm is None:
             # fall back to a generic interior point
             mid = p + 0.61803 * (q - p)
-            nm = inertia_count(op, mid, _scale=scale)
+            nm = inertia_count(sub, mid, _scale=scale)
         if nm is None:
             problems.append(f"inertia infeasible inside [{p}, {q}]")
             continue
@@ -535,8 +653,8 @@ def _sliced(op, lo, hi, na, nb, tol, seed, return_vectors, what,
             problems.append(f"non-monotone inertia counts {np_}, {nm}, {nq} "
                             f"at {p}, {mid}, {q}")
             continue
-        stack.append((p, mid, np_, nm))
-        stack.append((mid, q, nm, nq))
+        stack.append((s, p, mid, np_, nm))
+        stack.append((s, mid, q, nm, nq))
     vals, res, vecs = _empty_pairs(op.n)
     if pieces:
         vals = np.concatenate([x[0] for x in pieces])
@@ -547,10 +665,15 @@ def _sliced(op, lo, hi, na, nb, tol, seed, return_vectors, what,
             vecs = np.concatenate([x[2] for x in pieces], axis=1)[:, order]
     if census is not None and converged and len(vals) != census:
         problems.append(f"recovered {len(vals)} eigenvalues, census {census}")
-    claim = f"{what}: shift-invert slices, inertia-certified count {census}"
+    if converged and np.any(res > tol):
+        problems.append(f"{np.count_nonzero(res > tol)} residuals above "
+                        f"tol={tol}")
+    how = ("shift-invert slices" if sectors is None
+           else f"shift-invert slices of {len(parts)} rotation sectors")
+    claim = f"{what}: {how}, inertia-certified count {census}"
     message = (f"{what}: not certified: {'; '.join(problems)}" if problems
                else claim)
-    info = SolverInfo("lanczos", matvecs, tol, converged, message)
+    info = SolverInfo("lanczos", matvecs, tol, converged, message, len(parts))
     result = SpectrumResult(vals[:keep], res[:keep], info,
                             vecs[:, :keep] if return_vectors else None,
                             certified=converged and not problems,
@@ -648,12 +771,14 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
 
     Both methods widen the edges outward by _EDGE_PAD * max|diag H|.  With
     method "lanczos", inertia counts at the widened edges fix the census and
-    _sliced recovers the pairs by shift-invert Lanczos slices; "dense"
-    filters a full LAPACK solve and is the oracle.  Raises WindowOverflow
-    when the census exceeds cap, and NonConvergence carrying the partial
-    result when a slice does not converge.  result.certified reports whether
-    the census was proven; when it was not, info.message says why, and
-    unusable or non-monotone edge counts give no pairs.
+    _sliced recovers the pairs by shift-invert Lanczos slices, of the four
+    rotation sectors when op commutes with its quarter turn, has at least
+    _SECTOR_MIN_ROWS rows and the census is not empty; "dense" filters a full LAPACK solve and is the oracle.
+    Raises WindowOverflow when the census exceeds cap, before any sector is
+    built, and NonConvergence carrying the partial result when a slice does
+    not converge.  result.certified reports whether the census was proven;
+    when it was not, info.message says why, and unusable or non-monotone
+    edge counts give no pairs.  info.sectors is 4 on the sector path, else 1.
     """
     if not b >= a:
         raise ValueError(f"empty window: [{a}, {b}]")
@@ -669,9 +794,12 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
         return _dense_window(op, a, b, lo, hi, tol, cap, return_vectors)
     na = inertia_count(op, lo, _scale=scale, direction=-1.0)
     nb = inertia_count(op, hi, _scale=scale, direction=1.0)
-    if na is not None and nb is not None and nb - na > cap:
+    usable = na is not None and nb is not None
+    if usable and nb - na > cap:
         raise WindowOverflow(
             f"window [{a}, {b}] holds {nb - na} eigenvalues, cap is {cap}",
             nb - na)
+    sectors = (_rotation_sectors(op, scale)
+               if usable and nb > na and op.n >= _SECTOR_MIN_ROWS else None)
     return _sliced(op, lo, hi, na, nb, tol, seed, return_vectors,
-                   f"window [{a}, {b}]", window=(a, b))
+                   f"window [{a}, {b}]", window=(a, b), sectors=sectors)

@@ -192,11 +192,13 @@ class MaskedGrid:
         return self.coords * self.h
 
     def node_at(self, coord):
-        """Row index of the node with the given integer coordinates, or -1."""
+        """Row index of the node with the given integer coordinates, or -1;
+        an (m, d) array of coordinates gives an array of m indices."""
         q = np.asarray(coord, dtype=np.int64) - self._origin
-        if np.any(q < 0) or np.any(q >= np.array(self._index.shape)):
-            return -1
-        return int(self._index[tuple(q)])
+        inside = np.all((q >= 0) & (q < np.array(self._index.shape)), axis=-1)
+        q = np.where(inside[..., None], q, 0)
+        idx = np.where(inside, self._index[tuple(np.moveaxis(q, -1, 0))], -1)
+        return int(idx) if idx.ndim == 0 else idx
 
     def n_edges(self):
         return sum(len(i) for i, _ in self.edges)

@@ -363,3 +363,15 @@ def test_off_cluster_fraction_pinned(free_ladder):
     frac = free_ladder.report.reports[-1].off_cluster_fraction
     assert frac == pytest.approx(0.2451, abs=0.001)
     assert free_ladder.report.persistent == (1.0, 3.0, 5.0)
+
+
+def test_free_disk_r12_certified_by_sectors(free_ladder):
+    # the free disk commutes with the quarter turn, so every rung is solved
+    # one rotation sector at a time and still certified against the full
+    # operator's own edge counts: at R = 12 a census of 204
+    rung = free_ladder.rungs[-1]
+    assert rung.radius == 12.0
+    assert all(r.result.info.sectors == 4 for r in free_ladder.rungs)
+    assert rung.result.certified and rung.report.certified
+    assert rung.report.total == 204
+    assert [rung.report.count_for(lv) for lv in (1.0, 3.0, 5.0)] == [55, 51, 48]

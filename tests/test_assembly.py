@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,8 @@ import scipy.sparse as sp
 from magspec.assembly import (HermitianOperator, apply_form, assemble,
                               direct_sum, export_coordinate, load_coordinate)
 from magspec.fields import FieldSpec, link_phases
-from magspec.geometry import OMEGA, DiskObstacle, DomainSpec, build_grid
+from magspec.geometry import (OMEGA, BoxObstacle, DiskObstacle, DomainSpec,
+                              build_grid)
 
 
 def _free_grid(R=1.0, h=0.25):
@@ -262,6 +265,49 @@ def test_from_matrix_wrap():
     assert op.n == 2
     assert op.h == 0.5
     assert np.array_equal(op.nodes, [0, 1])
+
+
+# ── The quarter turn ───────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_quarter_turn_is_recorded(d):
+    # row r's node, turned by x -> (-x2, x1), is row rotation[r]'s node, in
+    # every region of a grid closed under the turn
+    g = build_grid(DomainSpec(d, 2.0, "box", DiskObstacle((0.0,) * d, 0.8)),
+                   0.4)
+    ph = link_phases(g, FieldSpec.constant(1.0, d))
+    for region, gamma in (("omega", 0.5), ("obstacle", 0.5), ("full", 0.0)):
+        op = assemble(g, ph, region=region, gamma=gamma)
+        c = g.coords[op.nodes]
+        turned = c[op.rotation]
+        assert np.array_equal(turned[:, 0], -c[:, 1])
+        assert np.array_equal(turned[:, 1], c[:, 0])
+        assert np.array_equal(turned[:, 2:], c[:, 2:])
+        assert np.array_equal(np.sort(op.rotation), np.arange(op.n))
+
+
+def test_quarter_turn_kept_only_with_its_matrix():
+    g = _obstacle_grid(0.3)
+    ph = link_phases(g, FieldSpec.constant(1.0))
+    op = assemble(g, ph, region="omega", gamma=0.5)
+    ob = assemble(g, ph, region="obstacle", gamma=0.5)
+    assert op.rotation is not None and ob.rotation is not None
+    assert op.shifted(2.0).rotation is op.rotation
+    assert dataclasses.replace(op).rotation is None
+    assert dataclasses.replace(op, mat=2 * op.mat).rotation is None
+    assert direct_sum(op, ob).rotation is None
+    assert HermitianOperator.from_matrix(op.mat).rotation is None
+
+
+@pytest.mark.parametrize("obstacle", [DiskObstacle((0.3, 0.0), 1.0),
+                                      BoxObstacle((0.0, 0.0), (0.5, 0.8))],
+                         ids=["off-centre", "non-square"])
+def test_no_quarter_turn_without_a_closed_region(obstacle):
+    g = build_grid(DomainSpec(2, 3.0, "disk", obstacle), 0.3)
+    ph = link_phases(g, FieldSpec.constant(1.0))
+    assert assemble(g, ph, region="omega", gamma=0.5).rotation is None
+    assert assemble(g, ph, region="full").rotation is not None
 
 
 # ── Coordinate text round trip ─────────────────────────────────────────────

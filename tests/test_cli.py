@@ -354,6 +354,24 @@ def test_run_export_matrix(tmp_path, capsys):
     assert (back - op.mat).nnz == 0
 
 
+@pytest.mark.parametrize("text", [SMALL_LADDER, SMALL_COMPARE],
+                         ids=["ladder", "compare"])
+def test_export_matrix_refused_outside_spectrum(tmp_path, capsys,
+                                                monkeypatch, text):
+    # the export reads one operator, which a ladder or compare does not
+    # have: the flag is refused before anything is solved or written
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing --export-matrix")
+
+    monkeypatch.setattr(cli, "run_ladder", no_solve)
+    monkeypatch.setattr(cli, "ladder_compare", no_solve)
+    outdir, mat_path = tmp_path / "out", tmp_path / "op.coo"
+    assert main(["run", _cfgfile(tmp_path, text), "--out", str(outdir),
+                 "--export-matrix", str(mat_path)]) == 1
+    assert "--export-matrix" in capsys.readouterr().err
+    assert not mat_path.exists() and not outdir.exists()
+
+
 def _keys_named(name, obj):
     """Every key `name` at any depth of a JSON payload."""
     if isinstance(obj, dict):
@@ -370,6 +388,8 @@ def test_run_ladder_outputs(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(outdir), "--jobs", "1"]) == 0
     data = json.loads((outdir / "results.json").read_text())
     assert data["ladder"]["ladder"]["persistent"] == [1.0]
+    # a ladder never reads diff_bound, and its config refuses the key
+    assert "diff_bound" not in data["config"]
     assert not _keys_named("seconds", data)
     lines = (outdir / "ladder.csv").read_text().splitlines()
     assert lines[0] == "radius,level,count,off_cluster_fraction"
@@ -383,6 +403,7 @@ def test_run_compare_pass(tmp_path, capsys):
     data = json.loads((outdir / "results.json").read_text())
     assert data["verdict"] == "PASS"
     assert data["exit_code"] == 0
+    assert data["config"]["diff_bound"] == 10
     assert not _keys_named("seconds", data)
     lines = (outdir / "ladder.csv").read_text().splitlines()
     assert lines[0].startswith("side,")

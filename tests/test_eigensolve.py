@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -31,6 +32,12 @@ def _lattice_op(h=0.25, b=1.0, R=3.0, gamma=0.5):
     g = build_grid(spec, h)
     ph = link_phases(g, FieldSpec.constant(b))
     return assemble(g, ph, region="omega", gamma=gamma)
+
+
+@pytest.fixture
+def any_size(monkeypatch):
+    """Rotation sectors at every size, so that small operators take them."""
+    monkeypatch.setattr(eigensolve, "_SECTOR_MIN_ROWS", 0)
 
 
 # ── Residuals ──────────────────────────────────────────────────────────────
@@ -708,13 +715,13 @@ def test_indefinite_windows_converge():
         assert np.allclose(got.eigenvalues, w[j:j + 8], atol=1e-8)
 
 
-def test_window_nonconvergence_carries_partial():
+def test_window_nonconvergence_carries_partial(any_size):
     op = _lattice_op(h=0.3)
     with pytest.raises(NonConvergence) as exc:
         eigs_window(op, 0.0, 3.0, tol=1e-300, method="lanczos")
     part = exc.value.partial
     assert part is not None and not part.certified
-    assert not part.info.converged
+    assert not part.info.converged and part.info.sectors == 4
     assert part.k > 0 and np.all(np.diff(part.eigenvalues) >= 0)
 
 
@@ -756,3 +763,183 @@ def test_krylov_basis_stays_orthonormal(case):
     want = eigs_window(op, a, b, method="dense")
     got = eigs_window(op, a, b, tol=1e-9, method="lanczos")
     _assert_matches_oracle(got, want, 1e-9)
+
+
+# ── Rotation sectors ───────────────────────────────────────────────────────
+
+
+@st.composite
+def _symmetric_problems(draw):
+    """Operators that commute with their quarter turn: a disk or box window
+    centred at the origin, no obstacle or a centred disk or square box with
+    Robin (gamma in [-1, 1]) or Dirichlet data, any field kind, in 2-D at
+    h = 0.3 or 0.35 and in 3-D at h = 0.4 (n of a few hundred)."""
+    d = draw(st.sampled_from([2, 3]))
+    shape = draw(st.sampled_from(["disk", "box"]))
+    if d == 2:
+        R, h = draw(st.floats(2.0, 2.8)), draw(st.sampled_from([0.3, 0.35]))
+        radius, half = st.floats(0.5, 1.0), st.floats(0.4, 0.8)
+    else:
+        R, h = draw(st.floats(1.7, 1.9)), 0.4
+        radius, half = st.floats(0.4, 0.9), st.floats(0.4, 0.45)
+    kind = draw(st.sampled_from(["none", "disk", "box"]))
+    obstacle = {"none": None,
+                "disk": DiskObstacle((0.0,) * d, draw(radius)),
+                "box": BoxObstacle((0.0,) * d, (draw(half),) * d)}[kind]
+    field = draw(st.sampled_from(["constant", "radial_decay",
+                                  "radial_growth"]))
+    if field == "constant":
+        field = FieldSpec.constant(draw(st.floats(-2.0, 2.0)), d)
+    elif field == "radial_decay":
+        field = FieldSpec.radial_decay(draw(st.floats(0.5, 2.0)),
+                                       draw(st.floats(1.0, 3.0)), d)
+    else:
+        field = FieldSpec.radial_growth(draw(st.floats(0.2, 1.0)),
+                                        draw(st.floats(0.5, 2.0)), d)
+    g = build_grid(DomainSpec(d, R, shape, obstacle), h)
+    ph = link_phases(g, field)
+    if obstacle is None:
+        return assemble(g, ph, region="full")
+    if draw(st.booleans()):
+        return assemble(g, ph, region="omega", boundary="dirichlet")
+    return assemble(g, ph, region="omega", gamma=draw(st.floats(-1.0, 1.0)))
+
+
+@_ORACLE
+@given(op=_symmetric_problems(), a=st.floats(-1.0, 3.0),
+       width=st.floats(2.0, 8.0))
+def test_sectors_match_dense_oracle_and_whole_operator(op, a, width):
+    assert op.rotation is not None
+    want = eigs_window(op, a, a + width, method="dense")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigensolve, "_SECTOR_MIN_ROWS", 0)
+        got = eigs_window(op, a, a + width, tol=1e-9, method="lanczos")
+    _assert_matches_oracle(got, want, 1e-9)
+    # an empty census needs no sectors
+    assert got.info.sectors == (4 if want.k else 1)
+    # a copy without the quarter turn solves the whole operator
+    whole = eigs_window(dataclasses.replace(op), a, a + width, tol=1e-9,
+                        method="lanczos")
+    assert whole.certified and whole.info.sectors == 1
+    assert whole.k == got.k
+    assert np.allclose(got.eigenvalues, whole.eigenvalues, atol=1e-8)
+
+
+def test_small_operators_take_the_whole_path():
+    # below _SECTOR_MIN_ROWS the four sector set-ups cost more than they save
+    op = _lattice_op(h=0.25)
+    assert op.rotation is not None and op.n < eigensolve._SECTOR_MIN_ROWS
+    assert eigs_window(op, 0.0, 4.0, tol=1e-9).info.sectors == 1
+
+
+@pytest.mark.parametrize("case", ["off-centre", "non-square", "gauge"])
+def test_asymmetric_operators_take_the_whole_path(any_size, case):
+    # an obstacle one lattice step off centre or a non-square box leaves the
+    # region open under the turn; a random gauge keeps the region but not H
+    h = 0.3
+    obstacle = {"off-centre": DiskObstacle((h, 0.0), 1.0),
+                "non-square": BoxObstacle((0.0, 0.0), (0.5, 0.8)),
+                "gauge": DiskObstacle((0.0, 0.0), 1.0)}[case]
+    g = build_grid(DomainSpec(2, 3.0, "disk", obstacle), h)
+    ph = link_phases(g, FieldSpec.constant(1.0))
+    if case == "gauge":
+        ph = ph.shifted(np.random.default_rng(2).standard_normal(g.n_nodes))
+    op = assemble(g, ph, region="omega", gamma=0.5)
+    assert (op.rotation is not None) == (case == "gauge")
+    want = eigs_window(op, 0.0, 4.0, method="dense")
+    got = eigs_window(op, 0.0, 4.0, tol=1e-9)
+    _assert_matches_oracle(got, want, 1e-9)
+    assert got.info.sectors == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sector_blocks_are_the_congruence(d):
+    # against dense products: [B_0 .. B_3] is unitary, U B_m = i^m B_m, and
+    # each block is B_m^H H B_m, exactly Hermitian; the origin, and in 3-D
+    # every node on the axis, is fixed by the turn and in sector 0 alone
+    g = build_grid(DomainSpec(d, 2.0, "disk", None), 0.4)
+    op = assemble(g, link_phases(g, FieldSpec.radial_decay(1.0, 2.0, d)),
+                  region="full")
+    scale = eigensolve._operator_scale(op.mat)
+    sectors = eigensolve._rotation_sectors(op, scale)
+    dims = [sub.n for sub, _ in sectors]
+    fixed = int(np.sum(op.rotation == np.arange(op.n)))
+    assert dims == [dims[1] + fixed] + [(op.n - fixed) // 4] * 3
+    assert fixed == {2: 1, 3: 9}[d]
+    bases = [basis.toarray() for _, basis in sectors]
+    whole = np.hstack(bases)
+    assert np.allclose(whole.conj().T @ whole, np.eye(op.n), atol=1e-15)
+    turn = np.zeros((op.n, op.n))
+    turn[op.rotation, np.arange(op.n)] = 1.0
+    h = op.dense()
+    for m, ((sub, _), b) in enumerate(zip(sectors, bases)):
+        assert np.allclose(turn @ b, 1j ** m * b, atol=1e-15)
+        assert (sub.mat - sub.mat.conj().T).nnz == 0
+        assert np.max(np.abs(sub.dense() - b.conj().T @ h @ b)) \
+            <= 1e-14 * scale
+
+
+def test_sector_window_factorisations(any_size, lu_counter):
+    # the full operator's upper edge, each sector's upper edge and one slice
+    # per sector factorise; every lower edge lies below its Gershgorin bound
+    op = _lattice_op(h=0.25)
+    got = eigs_window(op, 0.0, 4.0, tol=1e-9)
+    _assert_matches_oracle(got, eigs_window(op, 0.0, 4.0, method="dense"),
+                           1e-9)
+    assert got.info.sectors == 4
+    hi = 4.0 + eigensolve._EDGE_PAD * eigensolve._operator_scale(op.mat)
+    assert lu_counter[:5] == [hi] * 5 and len(lu_counter) == 9
+
+
+def _with_wrong_block(monkeypatch, change):
+    """Make _rotation_sectors return sector 1 with its block changed."""
+    true_sectors = eigensolve._rotation_sectors
+
+    def wrong(op, scale):
+        sectors = true_sectors(op, scale)
+        sub, basis = sectors[1]
+        sectors[1] = (HermitianOperator.from_matrix(change(sub.mat)), basis)
+        return sectors
+
+    monkeypatch.setattr(eigensolve, "_rotation_sectors", wrong)
+
+
+def test_wrong_sector_block_fails_the_count_cross_check(any_size, monkeypatch):
+    # one diagonal entry pulled far down puts an eigenvalue of the block
+    # below the window: the sector counts no longer add up to the full
+    # operator's, so nothing is certified and no pairs are returned
+    def pulled(mat):
+        mat = mat.tolil()
+        mat[0, 0] -= 1e3
+        return mat
+
+    _with_wrong_block(monkeypatch, pulled)
+    res = eigs_window(_lattice_op(h=0.25), 0.0, 4.0)
+    assert not res.certified and res.k == 0 and res.info.sectors == 4
+    assert "add up" in res.info.message
+
+
+def test_wrong_sector_block_fails_the_residuals_on_h(any_size, monkeypatch):
+    # a block moved by 1e-6 keeps every count, but the pairs it yields miss
+    # H by 1e-6, far above tol
+    _with_wrong_block(monkeypatch,
+                      lambda mat: mat + 1e-6 * sp.identity(mat.shape[0]))
+    res = eigs_window(_lattice_op(h=0.25), 0.0, 4.0, tol=1e-9)
+    assert not res.certified and res.info.sectors == 4
+    assert "residuals above" in res.info.message
+    assert np.count_nonzero(res.residuals > 1e-9) > 0
+
+
+def test_sector_vectors_are_orthonormal_in_row_order(any_size):
+    # pairs of different sectors are orthogonal, pairs of one sector are
+    # orthonormal Lanczos vectors, and every residual is taken on H
+    op = _lattice_op(h=0.25)
+    got = eigs_window(op, 0.0, 5.0, tol=1e-9, return_vectors=True)
+    assert got.certified and got.info.sectors == 4
+    v = got.eigenvectors
+    assert v.shape == (op.n, got.k)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(got.k))) <= 1e-12
+    for i in range(got.k):
+        assert residual(op, got.eigenvalues[i], v[:, i]) \
+            == pytest.approx(got.residuals[i], abs=1e-14)
+    assert np.all(got.residuals <= 1e-9)

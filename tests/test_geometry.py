@@ -196,3 +196,12 @@ def test_node_at_misses():
     g = build_grid(DomainSpec(dimension=2, truncation_radius=1.0), 0.5)
     assert g.node_at((7, 7)) == -1
     assert g.node_at((0, 0)) >= 0
+
+
+def test_node_at_takes_arrays():
+    g = build_grid(DomainSpec(dimension=3, truncation_radius=1.0), 0.5)
+    coords = np.array([[7, 7, 7], [0, 0, 0], [-1, 0, 1], [0, 0, -9]])
+    want = [g.node_at(tuple(c)) for c in coords]
+    assert want[0] == want[3] == -1 and min(want[1:3]) >= 0
+    assert np.array_equal(g.node_at(coords), want)
+    assert np.array_equal(g.node_at(g.coords), np.arange(g.n_nodes))
