@@ -2,7 +2,7 @@
 
 Three subcommands:
 
-    magspec run CONFIG [--out DIR] [--jobs N] [--seed S] [--export-matrix PATH]
+    magspec run CONFIG [--out DIR] [--jobs 1] [--seed S] [--export-matrix PATH]
     magspec landau [--b B] [--dim D] [--cutoff C] [--json]
     magspec validate CONFIG
 
@@ -13,15 +13,16 @@ a ladder or compare, ``diff_bound`` and ``compare.*`` keys need a compare,
 and an obstacle's or field's sub-keys need the kind that reads them.
 ``validate`` also refuses what ``run`` would refuse before or after the
 solve: ``h`` or ``tol`` not finite and positive, ``cap`` below 1, a
-``delta`` wide enough for two level buckets to overlap, and a ladder or
-compare without a window.
+``delta`` wide enough for two level buckets to overlap, a ladder or compare
+without a window, ``radii`` that are empty, not finite and positive, or not
+strictly increasing, and a negative ``diff_bound``.
 
 ``run`` writes results.json, eigenvalues.csv (the run, a ladder's last rung,
 or a compare's side A last rung) and, for ladder/compare experiments,
-ladder.csv, all deterministic for a fixed config and seed; ``--jobs N``
-(default 1) solves ladder rungs in N worker processes.  ``--export-matrix``
-writes the operator of a spectrum run and is refused on a ladder or
-compare, before anything is solved.  Exit codes:
+ladder.csv, all deterministic for a fixed config and seed; ``--jobs`` takes
+only 1, and goes when ROADMAP item 8 drops ``--jobs 1`` from the perfbench
+workloads.  ``--export-matrix`` writes the operator of a spectrum run and is
+refused on a ladder or compare, before anything is solved.  Exit codes:
 0 success or PASS verdict, 2 FAIL verdict, 3 inconclusive, 1 error.
 """
 
@@ -39,7 +40,7 @@ from .experiments import (RunConfig, build_operator, free_twin, ladder_compare,
 from .fields import KINDS, FieldSpec
 from .geometry import (OBSTACLE_KINDS, TRUNCATION_SHAPES, BoxObstacle,
                        DiskObstacle)
-from .spectra import landau_levels
+from .spectra import check_radii, landau_levels
 
 EXIT_OK, EXIT_ERROR, EXIT_FAIL, EXIT_INCONCLUSIVE = 0, 1, 2, 3
 
@@ -203,11 +204,16 @@ def build_configs(settings, where="config"):
         if window is None:
             raise ConfigError(f"{where}: experiment {experiment!r} needs a "
                               f"window")
+    if extras["diff_bound"] < 0:
+        raise ConfigError(f"{where}: diff_bound must be non-negative, got "
+                          f"{extras['diff_bound']}")
     # RunConfig holds the defaults, so it gets only what the file sets; the
     # file's obstacle and field name kinds, built into objects here
     given = {f.name: settings[f.name] for f in fields(RunConfig)
              if f.name in settings}
     try:
+        if experiment in ("ladder", "compare"):
+            check_radii(extras["radii"])
         given["obstacle"], given["gamma"] = _obstacle_from(settings, "", dim,
                                                            where)
         given["fieldspec"] = _field_from(settings, "", dim, where)
@@ -304,7 +310,7 @@ def _cmd_run(args):
             export_coordinate(op, args.export_matrix)
             print(f"matrix -> {args.export_matrix}")
     elif experiment == "ladder":
-        lad = run_ladder(cfg, extras["radii"], jobs=args.jobs)
+        lad = run_ladder(cfg, extras["radii"])
         payload["ladder"] = lad.as_dict()
         last = lad.rungs[-1]
         _write_csv(outdir, "ladder.csv", _LADDER_COLS, _ladder_rows(lad))
@@ -313,7 +319,7 @@ def _cmd_run(args):
     else:  # compare
         payload["config_b"] = cfg_b.as_dict()
         comp = ladder_compare(cfg, cfg_b, extras["radii"],
-                              diff_bound=extras["diff_bound"], jobs=args.jobs)
+                              diff_bound=extras["diff_bound"])
         payload["compare"] = comp.as_dict()
         last = comp.ladder_a.rungs[-1]
         rows = _ladder_rows(comp.ladder_a, "a") + _ladder_rows(comp.ladder_b, "b")
@@ -383,8 +389,9 @@ def main(argv=None):
     p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="parallel ladder rungs (default 1)")
+    p_run.add_argument("--jobs", type=int, default=1, choices=(1,),
+                       help="only 1; goes when ROADMAP item 8 drops "
+                            "--jobs 1 from the perfbench workloads")
     p_run.add_argument("--export-matrix", default=None, metavar="PATH",
                        help="also export the assembled operator "
                             "(coordinate format)")

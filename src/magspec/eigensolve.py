@@ -773,7 +773,8 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
     method "lanczos", inertia counts at the widened edges fix the census and
     _sliced recovers the pairs by shift-invert Lanczos slices, of the four
     rotation sectors when op commutes with its quarter turn, has at least
-    _SECTOR_MIN_ROWS rows and the census is not empty; "dense" filters a full LAPACK solve and is the oracle.
+    _SECTOR_MIN_ROWS rows and the census is not empty.  Method "dense"
+    filters a full LAPACK solve and is the oracle.
     Raises WindowOverflow when the census exceeds cap, before any sector is
     built, and NonConvergence carrying the partial result when a slice does
     not converge.  result.certified reports whether the census was proven;

@@ -8,7 +8,6 @@ stability-of-essential-spectrum reasoning: identical persistent cluster sets
 with bounded count differences while the counts themselves grow.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -16,7 +15,8 @@ import numpy as np
 from .assembly import BOUNDARIES, assemble
 from .fields import FieldSpec, link_phases
 from .geometry import BoxObstacle, DiskObstacle, DomainSpec, build_grid
-from .spectra import check_delta, cluster_report, ladder_report, model_for_field
+from .spectra import (check_delta, check_radii, cluster_report, ladder_report,
+                      model_for_field)
 from .eigensolve import eigs_lowest, eigs_window
 
 VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")
@@ -27,7 +27,7 @@ VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Complete, picklable description of one spectral experiment."""
+    """Complete description of one spectral experiment."""
 
     dimension: int = 2
     truncation_radius: float = 8.0
@@ -157,11 +157,6 @@ def run_spectrum(cfg, radius=None):
 # ── Ladders ────────────────────────────────────────────────────────────────
 
 
-def _rung_worker(args):
-    cfg, radius = args
-    return run_spectrum(cfg, radius)
-
-
 @dataclass
 class LadderRun:
     rungs: list
@@ -175,15 +170,16 @@ class LadderRun:
 
 
 def run_ladder(cfg, radii, jobs=1):
-    """The same experiment at strictly increasing truncation radii."""
-    radii = tuple(float(r) for r in radii)
+    """The same experiment at strictly increasing truncation radii, solved
+    rung after rung in this process.  jobs takes only 1, and goes when
+    ROADMAP item 8 drops ``jobs=1`` from the perfbench workloads.  Bad jobs,
+    radii or window raise ValueError before any operator is built."""
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, got {jobs}")
     if cfg.window is None:
         raise ValueError("ladders need a window config for cluster reports")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rungs = list(ex.map(_rung_worker, [(cfg, r) for r in radii]))
-    else:
-        rungs = [run_spectrum(cfg, r) for r in radii]
+    radii = check_radii(radii)
+    rungs = [run_spectrum(cfg, r) for r in radii]
     rep = ladder_report(radii, [r.report for r in rungs])
     return LadderRun(rungs, rep)
 
@@ -215,16 +211,20 @@ def _levels_match(pa, pb):
     return all(np.isclose(x, y, rtol=0.0, atol=1e-9) for x, y in zip(pa, pb))
 
 
-def ladder_compare(cfg_a, cfg_b, radii, diff_bound=10, jobs=1):
+def ladder_compare(cfg_a, cfg_b, radii, diff_bound=10):
     """Compare two configs along one radius ladder.
 
     PASS when both sides expose the same persistent cluster levels, the
     per-level counts differ by at most diff_bound at every radius, and the
     counts themselves grow along the ladder.  Uncertified rungs make the
-    comparison INCONCLUSIVE rather than quietly trusted.
+    comparison INCONCLUSIVE rather than quietly trusted.  A negative
+    diff_bound, which no count difference could meet, raises ValueError
+    before anything is solved.
     """
-    lad_a = run_ladder(cfg_a, radii, jobs=jobs)
-    lad_b = run_ladder(cfg_b, radii, jobs=jobs)
+    if diff_bound < 0:
+        raise ValueError(f"diff_bound must be non-negative, got {diff_bound}")
+    lad_a = run_ladder(cfg_a, radii)
+    lad_b = run_ladder(cfg_b, radii)
     verdict, reason = compare_verdict(lad_a.report, lad_b.report, diff_bound)
     return CompareReport(verdict, reason, lad_a, lad_b, int(diff_bound))
 

@@ -235,13 +235,26 @@ def persistent_levels(reports):
     return tuple(out)
 
 
+def check_radii(radii):
+    """Refuse ladder radii that are empty, not finite and positive, or not
+    strictly increasing; returns them as a tuple of floats."""
+    radii = tuple(float(r) for r in radii)
+    if len(radii) == 0:
+        raise ValueError("radii must not be empty")
+    if not all(np.isfinite(r) and r > 0 for r in radii):
+        raise ValueError(f"radii must be finite and positive, got "
+                         f"{list(radii)}")
+    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
+        raise ValueError(f"radii must be strictly increasing, got "
+                         f"{list(radii)}")
+    return radii
+
+
 def ladder_report(radii, reports):
     """Assemble a LadderReport, deriving persistence and certification."""
-    radii = tuple(float(r) for r in radii)
+    radii = check_radii(radii)
     if len(radii) != len(reports):
         raise ValueError("one report per radius required")
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
     pers = persistent_levels(reports)
     cert = all(r.certified for r in reports)
     return LadderReport(radii, list(reports), pers, cert)

@@ -221,6 +221,13 @@ def test_validate_refuses_keys_the_kind_ignores(tmp_path, capsys, text, unread):
     ("experiment = ladder\nradii = 3 4\nwindow = none\n", "needs a window"),
     ("experiment = compare\nradii = 3 4\nwindow = none\n",
      "needs a window"),
+    ("experiment = ladder\nradii = 4.4 4.0\n", "strictly increasing"),
+    ("experiment = ladder\nradii = 4 4\n", "strictly increasing"),
+    ("experiment = ladder\nradii =\n", "radii must not be empty"),
+    ("experiment = ladder\nradii = -1 4\n", "finite and positive"),
+    ("experiment = compare\nradii = 4.4 4.0\n", "strictly increasing"),
+    ("experiment = compare\nradii = 3 4\ndiff_bound = -1\n",
+     "diff_bound must be non-negative"),
 ])
 def test_validate_refuses_values_that_run_refuses(tmp_path, capsys, text, why):
     assert main(["validate", _cfgfile(tmp_path, text)]) == 1
@@ -427,21 +434,33 @@ def test_run_compare_fail_exit_code(tmp_path, capsys):
     assert side_b["seed"] == data["config"]["seed"] == 5
 
 
-def test_run_jobs_defaults_to_one(tmp_path, monkeypatch):
+def test_run_jobs_defaults_to_one(tmp_path, capsys, monkeypatch):
+    # rungs run one after another in this process; --jobs accepts only 1
     class Stop(Exception):
         pass
 
     seen = []
 
-    def fake_compare(*args, jobs, **kwargs):
-        seen.append(jobs)
+    def fake_compare(*args, **kwargs):
+        seen.append(kwargs)
         raise Stop
 
     monkeypatch.setattr(cli, "ladder_compare", fake_compare)
-    with pytest.raises(Stop):
-        main(["run", _cfgfile(tmp_path, SMALL_COMPARE),
-              "--out", str(tmp_path / "o")])
-    assert seen == [1]
+    cfg = _cfgfile(tmp_path, SMALL_COMPARE)
+    for jobs in ([], ["--jobs", "1"]):
+        with pytest.raises(Stop):
+            main(["run", cfg, "--out", str(tmp_path / "o"), *jobs])
+    assert seen == [{"diff_bound": 10}] * 2
+    capsys.readouterr()
+    for jobs in ("2", "0"):
+        outdir = tmp_path / f"o{jobs}"
+        with pytest.raises(SystemExit) as stop:
+            main(["run", cfg, "--out", str(outdir), "--jobs", jobs])
+        assert stop.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "--jobs" in out.err
+        assert not outdir.exists()
+    assert len(seen) == 2
 
 
 def test_run_nonconvergence_is_error(tmp_path, capsys):

@@ -1,5 +1,10 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import conftest
 
 from magspec.experiments import (CompareReport, RunConfig, build_operator,
                                  compare_verdict, free_twin, ladder_compare,
@@ -128,18 +133,30 @@ def test_run_ladder_counts_grow():
     assert lad.report.certified
 
 
-def test_run_ladder_parallel_matches_serial():
-    cfg = _small_cfg()
-    a = run_ladder(cfg, (3.5, 4.0))
-    b = run_ladder(cfg, (3.5, 4.0), jobs=2)
-    for ra, rb in zip(a.rungs, b.rungs):
-        assert np.allclose(ra.result.eigenvalues, rb.result.eigenvalues,
-                           atol=1e-12)
-
-
 def test_run_ladder_needs_window():
     with pytest.raises(ValueError):
         run_ladder(_small_cfg(window=None), (3.5, 4.5))
+
+
+@pytest.mark.parametrize("radii, jobs, why", [
+    ((3.5, 4.0), 2, "jobs must be 1"),
+    ((4.0, 3.5), 1, "strictly increasing"),
+], ids=["jobs=2", "decreasing"])
+def test_run_ladder_refuses_before_any_rung(lu_counter, radii, jobs, why):
+    with pytest.raises(ValueError, match=why):
+        run_ladder(_small_cfg(), radii, jobs=jobs)
+    assert lu_counter == []
+
+
+def test_import_loads_no_process_pool():
+    # rungs run in the calling process, so nothing needs multiprocessing
+    code = ("import sys, magspec, magspec.cli; print([m for m in "
+            "('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])")
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=conftest.package_env())
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "[]"
 
 
 # ── Verdict logic ──────────────────────────────────────────────────────────
@@ -220,6 +237,14 @@ def test_ladder_compare_obstacle_vs_free():
     d = rep.as_dict()
     assert d["verdict"] == "PASS"
     assert len(d["side_a"]["rungs"]) == 2
+
+
+def test_ladder_compare_refuses_negative_diff_bound(lu_counter):
+    # no count difference is below -1, so the verdict could only be FAIL
+    cfg = _small_cfg()
+    with pytest.raises(ValueError, match="diff_bound"):
+        ladder_compare(cfg, free_twin(cfg), (3.5, 4.0), diff_bound=-1)
+    assert lu_counter == []
 
 
 def test_ladder_compare_negative_control():
