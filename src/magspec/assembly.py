@@ -58,9 +58,15 @@ class HermitianOperator:
 
     An operator is not modified after assembly: build a new one (shifted,
     dataclasses.replace, from_matrix) instead of rebinding or editing mat.
-    The resolvent probes rely on this when they keep the sparse LU of
-    H + cI for the last shift c in _lu, a cache that every copy starts
-    without and that equality and pickling ignore.
+    Two caches rely on this.  Equality ignores them, and shifted,
+    from_matrix, direct_sum and dataclasses.replace start without them:
+
+    _lu      the sparse LU of H + cI for the last shift c the resolvent
+             probes used; pickling drops it.
+    _ledger  filled by eigensolve on first use: the Gershgorin bounds of H,
+             max|diag H|, and every inertia count taken on H, with the first
+             pair of counts found out of order, which no later result built
+             on H outlives.
     """
 
     mat: object
@@ -70,6 +76,7 @@ class HermitianOperator:
     rotation: np.ndarray | None = field(default=None, init=False, repr=False,
                                         compare=False)
     _lu: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _ledger: object = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self):
         return {**self.__dict__, "_lu": None}   # an LU cannot be pickled

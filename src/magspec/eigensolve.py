@@ -5,14 +5,24 @@ Two query styles, both answered by one certified path at every size:
 * eigs_lowest  -- k smallest eigenvalues.  A Gershgorin lower bound, where
   the inertia count is 0, and an upper shift widened and then halved by
   inertia counts bracket a window holding at least k eigenvalues; the window
-  is solved as below and its lowest k are kept.  Each bracket count must be
-  monotone: between the counts of the nearest shifts below and above it.
+  is solved as below and its lowest k are kept.
 * eigs_window  -- every eigenvalue in the closed window [a, b].  Inertia
   counts at the edges fix the census.
 
 Both hand their edge counts to _sliced, the one driver of the result: it
-refuses unusable or non-monotone counts, splits the census into slices by
-inertia bisection and solves each by shift-invert Lanczos.
+refuses unusable counts, splits the census into slices by inertia bisection
+and solves each by shift-invert Lanczos.
+
+The count rule.  Every inertia count either query takes on an operator,
+at a window or sector edge, a bisection point or a bracket shift, goes
+through _count, which records it in the operator's ledger (_Ledger, kept on
+HermitianOperator._ledger with the Gershgorin bounds and max|diag H|).
+Counts must be monotone in the shift: each recorded count lies between
+those of the nearest recorded shifts below and above it, with 0 below every
+shift and n above.  The first count that breaks the rule marks the
+operator for good, and every result built on it, or on a sector block
+marked the same way, has no pairs and certified=False, with both counts and
+shifts in info.message.
 
 A window of an operator of at least _SECTOR_MIN_ROWS rows that commutes
 with its quarter turn U (recorded by assemble for regions closed under
@@ -51,6 +61,7 @@ cancelled most of the vector.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,10 +164,6 @@ def _residuals(op, values, vectors):
 # ── Sparse factorization and inertia counts ────────────────────────────────
 
 
-def _operator_scale(mat):
-    return float(np.max(np.abs(mat.diagonal()))) or 1.0
-
-
 def _gershgorin_bounds(mat):
     """(lo, hi) with every eigenvalue of the Hermitian mat in [lo, hi],
     rounding of their computation included.
@@ -190,6 +197,35 @@ def _gershgorin_bounds(mat):
             float(np.max(diag.real + radius)) + margin)
 
 
+class _Ledger:
+    """What eigensolve knows of one operator: its Gershgorin bounds lo and
+    hi, scale = max|diag H|, and every inertia count taken on it as
+    (shift, direction, count), sorted by shift and then direction between
+    the implicit counts 0 at -inf and n at +inf.  conflict is the first pair
+    of neighbouring counts out of order, or None."""
+
+    def __init__(self, mat):
+        self.lo, self.hi = _gershgorin_bounds(mat)
+        self.scale = float(np.max(np.abs(mat.diagonal()))) or 1.0
+        self.entries = [(-np.inf, -np.inf, 0), (np.inf, np.inf, mat.shape[0])]
+        self.conflict = None
+
+    def record(self, s, direction, count):
+        i = bisect.bisect(self.entries, (s, direction), key=lambda e: e[:2])
+        self.entries.insert(i, (s, direction, count))
+        for (p, _, a), (q, _, b) in zip(self.entries[i - 1:i + 1],
+                                        self.entries[i:i + 2]):
+            if a > b and self.conflict is None:
+                self.conflict = (f"non-monotone inertia counts {a}, {b} "
+                                 f"at {p}, {q}")
+
+
+def _ledger(op):
+    if op._ledger is None:
+        op._ledger = _Ledger(op.mat)
+    return op._ledger
+
+
 def _factor(mat, sigma, pivot_thresh=0.0):
     """Sparse LU of H - sigma I in symmetric mode.  The default keeps every
     pivot diagonal, so that the signs of the pivots give the inertia."""
@@ -212,11 +248,13 @@ def shifted_solver(mat, sigma):
     return _factor(mat, sigma, _SOLVE_PIVOT).solve
 
 
-def inertia_count(op, s, _scale=None, direction=1.0):
+def inertia_count(op, s, direction=1.0):
     """Number of eigenvalues of op strictly below s, or None if uncertifiable.
 
     Below the Gershgorin bound lo the count is 0, and above hi it is n, with
-    no factorization.  _gershgorin_bounds widens both by a margin proven to
+    no factorization; the bounds and max|diag H| are read from op's ledger,
+    and the count is not recorded there (eigensolve's own counts go through
+    _count).  _gershgorin_bounds widens both by a margin proven to
     exceed their rounding, at most 6e-15 max|diag H| on lattice operators,
     so a shift at or inside an exact bound still factorizes, while a window
     edge padded below 0 on a nonnegative operator does not.  A shift
@@ -228,14 +266,13 @@ def inertia_count(op, s, _scale=None, direction=1.0):
     down, so that an eigenvalue sitting exactly on the edge stays inside the
     window, while an upper edge must nudge up for the same reason.
     """
-    lo, hi = _gershgorin_bounds(op.mat)
-    if s < lo:
+    book = _ledger(op)
+    if s < book.lo:
         return 0
-    if s > hi:
+    if s > book.hi:
         return op.n
     mat = op.mat.tocsc()
-    scale = _scale if _scale is not None else _operator_scale(mat)
-    nudge = _EDGE_PAD * scale * (1.0 if direction >= 0 else -1.0)
+    nudge = _EDGE_PAD * book.scale * (1.0 if direction >= 0 else -1.0)
     t = float(s)
     for _ in range(5):
         try:
@@ -254,6 +291,14 @@ def inertia_count(op, s, _scale=None, direction=1.0):
         t = t + nudge
         nudge *= 100.0
     return None
+
+
+def _count(op, s, direction=1.0):
+    """inertia_count, recorded in op's ledger under the count rule."""
+    count = inertia_count(op, s, direction=direction)
+    if count is not None:
+        _ledger(op).record(s, direction, count)
+    return count
 
 
 # ── Dense paths ────────────────────────────────────────────────────────────
@@ -414,9 +459,8 @@ def _ritz_estimates(mat, sigma, kry, theta, y):
         return abs(kry.P[me, me - 1]) * r * np.abs(y[me - 1]) / np.abs(theta)
 
 
-def _slice_eigs(op, p, q, m_expect, tol, rng, scale, return_vectors):
-    """All m_expect eigenvalues in [p, q) by shift-invert Lanczos; scale is
-    max|diag H|.
+def _slice_eigs(op, p, q, m_expect, tol, rng, return_vectors):
+    """All m_expect eigenvalues in [p, q) by shift-invert Lanczos.
 
     Returns (values, residuals, vectors, matvecs, converged); vectors is an
     n x 0 block unless return_vectors.  When the restarts run out, converged
@@ -441,7 +485,7 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, scale, return_vectors):
     n = op.n
     # off-center, to dodge symmetric clusters, and at least _SHIFT_GAP from
     # p: a shift nearly on a multiple eigenvalue stalls the residuals
-    sigma = p + 0.5137 * max(q - p, _SHIFT_GAP * scale)
+    sigma = p + 0.5137 * max(q - p, _SHIFT_GAP * _ledger(op).scale)
     solve = shifted_solver(op.mat, sigma)
     pad = max(100.0 * tol, 1e-12 * max(abs(p), abs(q), 1.0))
     m_max = int(min(n, max(2 * m_expect + 30, 60)))
@@ -512,15 +556,15 @@ def _slice_eigs(op, p, q, m_expect, tol, rng, scale, return_vectors):
 # ── Rotation sectors ───────────────────────────────────────────────────────
 
 
-def _rotation_sectors(op, scale):
+def _rotation_sectors(op):
     """[(H_m, B_m) for m = 0..3] when op commutes with its quarter turn U,
-    else None; scale is max|diag H|.
+    else None.
 
     op.rotation, recorded by assemble, maps each row to the row of its node
     turned by x -> (-x2, x1).  U commutes with H when no entry of U H U^H - H
-    exceeds _TURN_TOL * scale: they are exactly equal for a constant field
-    and equal to rounding of the phases for the azimuthal gauge of a radial
-    one.  An orbit {x, Ux, U^2 x, U^3 x} has four rows, or one for a node
+    exceeds _TURN_TOL max|diag H|: they are exactly equal for a constant
+    field and equal to rounding of the phases for the azimuthal gauge of a
+    radial one.  An orbit {x, Ux, U^2 x, U^3 x} has four rows, or one for a node
     the turn fixes.  B_m has one column per orbit, with (-i)^(m k) / 2 on
     the row of U^k x, so that U B_m = i^m B_m; a fixed node is a column of
     B_0 alone, after the orbits.  The B_m are orthonormal and together span
@@ -541,7 +585,7 @@ def _rotation_sectors(op, scale):
     coo = op.mat.tocoo()
     turned = sp.csr_matrix((coo.data, (rot[coo.row], rot[coo.col])),
                            shape=(n, n))
-    if abs(turned - op.mat).max() > _TURN_TOL * scale:
+    if abs(turned - op.mat).max() > _TURN_TOL * _ledger(op).scale:
         return None
     rows = np.arange(n)
     powers = (rows, rot, rot[rot], rot[rot[rot]])
@@ -582,49 +626,35 @@ def _sliced(op, lo, hi, na, nb, tol, seed, return_vectors, what,
     given by the inertia counts na at lo and nb at hi; the lowest keep of
     them when keep is set.  what names the query in info.message.
 
-    Unusable (None) or non-monotone (nb < na) counts prove no census: no
-    pairs, certified=False.  Otherwise inertia bisection splits [lo, hi)
-    into slices of at most _SLICE_MAX, solved by shift-invert Lanczos.  The
-    result is certified when every bisection count lies between the counts
-    of its sub-window's ends and the pieces add up to the census.  When a
+    The parts solved are op alone or, with sectors, the [(H_m, B_m)] of
+    _rotation_sectors, each counted at lo and hi; the sector counts must add
+    up to na and nb.  Inertia bisection splits each part's [lo, hi) into
+    slices of at most _SLICE_MAX, solved by shift-invert Lanczos; a pair
+    found in H_m is embedded as B_m v, and its residual is computed on H.
+    Unusable counts, or a mark under the count rule on op or a sector, give
+    no pairs and certified=False.  Otherwise the result is certified when
+    the pieces add up to the census and every residual meets tol.  When a
     slice runs out of restarts, raises NonConvergence carrying the result.
-
-    With sectors, the [(H_m, B_m)] of _rotation_sectors, each H_m is
-    counted at lo and hi and sliced the same way.  The sector counts must
-    add up to na and nb, or there are no pairs and certified=False; each
-    pair found in H_m is embedded as B_m v, and its residual is computed
-    on H, where it must meet tol like every other.
     """
     rng = np.random.default_rng(seed)
-    scale = _operator_scale(op.mat)
-    floor = 1e-10 * scale           # narrower sub-windows are not split
-    parts = [(op, None)] if sectors is None else sectors
+    floor = 1e-10 * _ledger(op).scale   # narrower sub-windows are not split
+    parts = sectors or [(op, None)]
+    counts = [(na, nb)] if sectors is None else [
+        (_count(sub, lo, -1.0), _count(sub, hi)) for sub, _ in sectors]
+    books = [_ledger(op)] + [_ledger(sub) for sub, _ in sectors or ()]
     pieces = []
     problems = []
     matvecs = 0
     converged = True
-    census = None
-    stack = []
-    if na is None or nb is None:
+    if any(c is None for pair in [(na, nb), *counts] for c in pair):
         problems.append("inertia factorization infeasible")
-    elif nb < na:
-        problems.append(f"non-monotone inertia counts {na}, {nb} at {lo}, {hi}")
-    else:
-        census = nb - na
-    if census is not None and sectors is not None:
-        counts = [(inertia_count(sub, lo, _scale=scale, direction=-1.0),
-                   inertia_count(sub, hi, _scale=scale, direction=1.0))
-                  for sub, _ in sectors]
-        if any(c is None for pair in counts for c in pair):
-            problems.append("sector inertia factorization infeasible")
-        elif tuple(map(sum, zip(*counts))) != (na, nb):
-            problems.append(f"sector counts {counts} at {lo}, {hi} do not "
-                            f"add up to {na}, {nb}")
-        else:
-            stack = [(s, lo, hi, *counts[s]) for s in reversed(range(4))]
-    elif census is not None:
-        stack = [(0, lo, hi, na, nb)]
-    while stack and converged:
+    elif tuple(map(sum, zip(*counts))) != (na, nb):
+        problems.append(f"sector counts {counts} at {lo}, {hi} do not "
+                        f"add up to {na}, {nb}")
+    census = None if problems else nb - na
+    stack = [] if problems else [(s, lo, hi, *counts[s])
+                                 for s in reversed(range(len(parts)))]
+    while stack and converged and not any(b.conflict for b in books):
         s, p, q, np_, nq = stack.pop()
         sub, basis = parts[s]
         m = nq - np_
@@ -632,8 +662,7 @@ def _sliced(op, lo, hi, na, nb, tol, seed, return_vectors, what,
             continue
         if m <= _SLICE_MAX or q - p <= floor:
             vals, res, vecs, mv, converged = _slice_eigs(
-                sub, p, q, m, tol, rng, scale,
-                return_vectors or basis is not None)
+                sub, p, q, m, tol, rng, return_vectors or basis is not None)
             if basis is not None:
                 vecs = basis @ vecs
                 res = _residuals(op, vals, vecs)
@@ -641,20 +670,19 @@ def _sliced(op, lo, hi, na, nb, tol, seed, return_vectors, what,
             pieces.append((vals, res, vecs))
             continue
         mid = 0.5 * (p + q)
-        nm = inertia_count(sub, mid, _scale=scale)
+        nm = _count(sub, mid)
         if nm is None:
             # fall back to a generic interior point
             mid = p + 0.61803 * (q - p)
-            nm = inertia_count(sub, mid, _scale=scale)
+            nm = _count(sub, mid)
         if nm is None:
             problems.append(f"inertia infeasible inside [{p}, {q}]")
             continue
-        if not np_ <= nm <= nq:
-            problems.append(f"non-monotone inertia counts {np_}, {nm}, {nq} "
-                            f"at {p}, {mid}, {q}")
-            continue
         stack.append((s, p, mid, np_, nm))
         stack.append((s, mid, q, nm, nq))
+    conflict = next((b.conflict for b in books if b.conflict), None)
+    if conflict:
+        problems, pieces, census = [conflict], [], None
     vals, res, vecs = _empty_pairs(op.n)
     if pieces:
         vals = np.concatenate([x[0] for x in pieces])
@@ -691,21 +719,18 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
     Nothing lies below the Gershgorin bound lo and everything below top,
     just above hi, with no factorization.  An upper shift s is widened from
     lo until at least k eigenvalues lie below it, then halved until the
-    census is small.  A count outside those of the nearest shifts below and
-    above it is handed to _sliced with that neighbour, which refuses it.
-    Otherwise the lowest k found by _sliced in [lo, s) are the lowest k.
+    census is small, or until a count breaks the count rule.  The lowest k
+    found by _sliced in [lo, s) are the lowest k.
     """
-    n = op.n
-    scale = _operator_scale(op.mat)
-    lo, hi = _gershgorin_bounds(op.mat)
-    top = hi + _EDGE_PAD * scale
+    book = _ledger(op)
+    lo, hi = book.lo, book.hi
+    top = hi + _EDGE_PAD * book.scale
     target = max(2 * k, k + 16)
-    below, n_below = lo, 0          # the highest shift with fewer than k
-    s, ns = top, n                  # the lowest shift with at least k
-    width = max((hi - lo) * k / n, 1e-8 * scale)
+    below = lo                      # the highest shift with fewer than k
+    s, ns = top, op.n               # the lowest shift with at least k
+    width = max((hi - lo) * k / op.n, 1e-8 * book.scale)
     halvings = 0
-    edges = None
-    while True:
+    while book.conflict is None:
         # widen until a count reaches k or the next shift would pass top
         widening = s == top and lo + width < top
         if widening:
@@ -716,24 +741,17 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
             if halvings == _BISECT_STEPS or ns <= target or not below < t < s:
                 break
             halvings += 1
-        nt = inertia_count(op, t, _scale=scale)
+        nt = _count(op, t)
         if nt is None:
             if widening:
                 continue
             break
-        if nt < n_below:
-            edges = (below, t, n_below, nt)
-            break
-        if nt > ns:
-            edges = (t, s, nt, ns)
-            break
         if nt >= k:
             s, ns = t, nt
         else:
-            below, n_below = t, nt
-    edges = edges or (lo, s, 0, ns)
-    return _sliced(op, *edges, tol, seed, return_vectors,
-                   f"lowest-{k} below {edges[1]:.6g}", keep=k)
+            below = t
+    return _sliced(op, lo, s, 0, ns, tol, seed, return_vectors,
+                   f"lowest-{k} below {s:.6g}", keep=k)
 
 
 def _check_tol(tol):
@@ -748,10 +766,9 @@ def eigs_lowest(op, k, tol=1e-8, seed=0, method="lanczos",
 
     method "lanczos" brackets them by inertia counts and solves the bracket
     by shift-invert Lanczos slices in _sliced; "dense" is the LAPACK oracle.
-    The sliced result is certified when every bracket count is monotone in
-    the shift and the pieces add up to the inertia census of the bracket;
-    otherwise certified is False and info.message says why, and a
-    non-monotone bracket count gives no pairs.  On non-convergence raises
+    The sliced result is certified when its counts obey the count rule and
+    the pieces add up to the inertia census of the bracket; otherwise
+    certified is False and info.message says why.  On non-convergence raises
     NonConvergence carrying the partial result.
     """
     if k < 1 or k > op.n:
@@ -778,8 +795,9 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
     Raises WindowOverflow when the census exceeds cap, before any sector is
     built, and NonConvergence carrying the partial result when a slice does
     not converge.  result.certified reports whether the census was proven;
-    when it was not, info.message says why, and unusable or non-monotone
-    edge counts give no pairs.  info.sectors is 4 on the sector path, else 1.
+    when it was not, info.message says why, and unusable edge counts, or
+    counts against the count rule, give no pairs.  info.sectors is 4 on the
+    sector path, else 1.
     """
     if not b >= a:
         raise ValueError(f"empty window: [{a}, {b}]")
@@ -788,19 +806,18 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
     _check_tol(tol)
     if method not in ("lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
-    scale = _operator_scale(op.mat)
-    pad = _EDGE_PAD * scale
+    pad = _EDGE_PAD * _ledger(op).scale
     lo, hi = a - pad, b + pad
     if method == "dense":
         return _dense_window(op, a, b, lo, hi, tol, cap, return_vectors)
-    na = inertia_count(op, lo, _scale=scale, direction=-1.0)
-    nb = inertia_count(op, hi, _scale=scale, direction=1.0)
+    na = _count(op, lo, -1.0)
+    nb = _count(op, hi)
     usable = na is not None and nb is not None
     if usable and nb - na > cap:
         raise WindowOverflow(
             f"window [{a}, {b}] holds {nb - na} eigenvalues, cap is {cap}",
             nb - na)
-    sectors = (_rotation_sectors(op, scale)
+    sectors = (_rotation_sectors(op)
                if usable and nb > na and op.n >= _SECTOR_MIN_ROWS else None)
     return _sliced(op, lo, hi, na, nb, tol, seed, return_vectors,
                    f"window [{a}, {b}]", window=(a, b), sectors=sectors)

@@ -58,7 +58,7 @@ class RunConfig:
         if self.obstacle is None and self.boundary != RunConfig.boundary:
             raise ValueError("boundary without an obstacle has no boundary "
                              "to act on")
-        for name in ("h", "tol"):
+        for name in ("h", "tol", "truncation_radius"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got "

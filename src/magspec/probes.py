@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .eigensolve import NonConvergence, eigs_lowest, shifted_solver
+from .eigensolve import (NonConvergence, eigs_lowest, inertia_count,
+                         shifted_solver)
 
 
 # ── Shift policy ───────────────────────────────────────────────────────────
@@ -36,8 +37,10 @@ def hermitian_shift(*ops, margin=1.0):
     c = max(0, -min lambda_min) + margin, computed once from the supplied
     operators and meant to be reused verbatim across a refinement pair so
     resolvent quantities stay comparable.  margin must be finite and
-    positive, or H + cI could be singular.  Raises NonConvergence, carrying
-    the result, when a lowest eigenvalue is not certified.
+    positive, or H + cI could be singular.  An operator whose inertia count
+    at 0 is 0 is nonnegative, so it cannot set the maximum and its lowest
+    eigenvalue is not computed.  Raises NonConvergence, carrying the result,
+    when a lowest eigenvalue is not certified.
     """
     if len(ops) == 0:
         raise ValueError("need at least one operator")
@@ -45,13 +48,13 @@ def hermitian_shift(*ops, margin=1.0):
     if not (np.isfinite(margin) and margin > 0.0):
         raise ValueError(f"margin must be finite and positive, got {margin}")
     lows = []
-    for op in ops:
+    for op in [op for op in ops if inertia_count(op, 0.0) != 0]:
         res = eigs_lowest(op, 1, return_vectors=False)
         if not res.certified:
             raise NonConvergence("lowest eigenvalue not certified: "
                                  f"{res.info.message}", partial=res)
         lows.append(float(res.eigenvalues[0]))
-    return max(0.0, -min(lows)) + margin
+    return max(0.0, -min(lows, default=0.0)) + margin
 
 
 def _resolvent(op, c):

@@ -217,6 +217,14 @@ def test_validate_refuses_keys_the_kind_ignores(tmp_path, capsys, text, unread):
     ("tol = -1\n", "tol must be finite and positive"),
     ("tol = 0\n", "tol must be finite and positive"),
     ("cap = 0\n", "cap must be positive"),
+    ("truncation_radius = -2\n",
+     "truncation_radius must be finite and positive"),
+    ("truncation_radius = nan\n",
+     "truncation_radius must be finite and positive"),
+    ("experiment = ladder\nradii = 3 4\ntruncation_radius = -2\n",
+     "truncation_radius must be finite and positive"),
+    ("experiment = ladder\nradii = 3 4\ntruncation_radius = nan\n",
+     "truncation_radius must be finite and positive"),
     ("delta = 1.5\n", "delta too wide"),
     ("experiment = ladder\nradii = 3 4\nwindow = none\n", "needs a window"),
     ("experiment = compare\nradii = 3 4\nwindow = none\n",

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from magspec import eigensolve
-from magspec.assembly import HermitianOperator, assemble
+from magspec.assembly import HermitianOperator, assemble, direct_sum
 from magspec.eigensolve import (NonConvergence, WindowOverflow, eigs_lowest,
                                 eigs_window, inertia_count, residual)
 from magspec.fields import FieldSpec, link_phases
@@ -112,7 +112,7 @@ def test_negative_gamma_edges_above_the_bound_factorise(lu_counter):
     lo, _ = eigensolve._gershgorin_bounds(op.mat)
     w = np.linalg.eigvalsh(op.dense())
     assert lo < w[0] < w[1] < 0.0
-    pad = eigensolve._EDGE_PAD * eigensolve._operator_scale(op.mat)
+    pad = eigensolve._EDGE_PAD * eigensolve._ledger(op).scale
     for a, b in ((0.5 * (w[0] + w[1]), 3.0), (0.0, 3.0),
                  (lo + 1.5 * pad, 1.0)):
         lu_counter.clear()
@@ -129,7 +129,7 @@ def test_eigenvalues_on_the_bounds_are_counted():
     op = HermitianOperator.from_matrix(sp.diags([0.0, 1.0, 2.0]))
     lo, hi = eigensolve._gershgorin_bounds(op.mat)
     margin = -lo
-    pad = eigensolve._EDGE_PAD * eigensolve._operator_scale(op.mat)
+    pad = eigensolve._EDGE_PAD * eigensolve._ledger(op).scale
     assert 0.0 < margin < 0.01 * pad and 0.0 < hi - 2.0 < 0.01 * pad
     # a shift closer to an eigenvalue than the pivots can resolve is nudged
     # along direction, so the one just below 2 is nudged down
@@ -542,8 +542,8 @@ def test_non_monotone_count_is_uncertified(monkeypatch):
     op = HermitianOperator.from_matrix(sp.diags(d))
     true_count = eigensolve.inertia_count
 
-    def faulty(op, s, _scale=None, direction=1.0):
-        n = true_count(op, s, _scale=_scale, direction=direction)
+    def faulty(op, s, direction=1.0):
+        n = true_count(op, s, direction=direction)
         return n + 500 if 0.0 < s < 8.0 else n
 
     monkeypatch.setattr(eigensolve, "inertia_count", faulty)
@@ -567,8 +567,8 @@ def test_non_monotone_bracket_count_is_uncertified(monkeypatch, d, k, bad):
     op = HermitianOperator.from_matrix(sp.diags(d))
     true_count = eigensolve.inertia_count
 
-    def faulty(op, s, _scale=None, direction=1.0):
-        return bad(s, true_count(op, s, _scale=_scale, direction=direction))
+    def faulty(op, s, direction=1.0):
+        return bad(s, true_count(op, s, direction=direction))
 
     monkeypatch.setattr(eigensolve, "inertia_count", faulty)
     res = eigs_lowest(op, k, method="lanczos")
@@ -582,21 +582,113 @@ def test_uncertifiable_edge_counts_give_no_pairs(monkeypatch):
     op = _lattice_op(h=0.3)
     true_count = eigensolve.inertia_count
 
-    def infeasible_low(op, s, _scale=None, direction=1.0):
-        return None if direction < 0 else true_count(op, s, _scale=_scale)
+    def infeasible_low(op, s, direction=1.0):
+        return None if direction < 0 else true_count(op, s)
 
     monkeypatch.setattr(eigensolve, "inertia_count", infeasible_low)
     res = eigs_window(op, 0.0, 3.0, method="lanczos")
     assert not res.certified and res.k == 0
     assert "infeasible" in res.info.message
 
-    def swapped(op, s, _scale=None, direction=1.0):
+    def swapped(op, s, direction=1.0):
         return 40 if direction < 0 else 10
 
     monkeypatch.setattr(eigensolve, "inertia_count", swapped)
     res = eigs_window(op, 0.0, 3.0, method="lanczos")
     assert not res.certified and res.k == 0
     assert "non-monotone" in res.info.message
+
+
+# ── The inertia ledger ─────────────────────────────────────────────────────
+
+
+def test_bisection_count_checked_across_branches(monkeypatch, lu_counter):
+    # the lowest-130 bracket of the h = 0.3 lattice counts 114 at its highest
+    # shift below k and 219 at s; the first bisection point, halfway to s,
+    # truly counts 77.  115 lies between the counts of its own sub-window's
+    # ends, 0 and 219, but above the 114 counted higher up by the bracket:
+    # the query must refuse it at once, not chase a census of 115
+    op = _lattice_op(h=0.3)
+    true_count = eigensolve.inertia_count
+    shifts = []
+
+    def faulty(op, s, direction=1.0):
+        n = true_count(op, s, direction=direction)
+        shifts.append(s)
+        return 115 if len(shifts) == 4 else n
+
+    monkeypatch.setattr(eigensolve, "inertia_count", faulty)
+    res = eigs_lowest(op, eigensolve._SLICE_MAX + 20, return_vectors=False)
+    assert not res.certified and res.k == 0
+    assert "non-monotone inertia counts 115, 114" in res.info.message
+    assert len(shifts) == 4 and lu_counter == shifts
+
+
+def test_sector_window_computes_bounds_once_per_operator(any_size,
+                                                         monkeypatch):
+    # H and its four sector blocks each get their Gershgorin bounds once,
+    # however many counts are taken on them
+    true_bounds = eigensolve._gershgorin_bounds
+    true_count = eigensolve.inertia_count
+    bounded, counted = [], []
+
+    def bounds(mat):
+        bounded.append(id(mat))
+        return true_bounds(mat)
+
+    def counting(op, s, direction=1.0):
+        counted.append(id(op.mat))
+        return true_count(op, s, direction=direction)
+
+    monkeypatch.setattr(eigensolve, "_gershgorin_bounds", bounds)
+    monkeypatch.setattr(eigensolve, "inertia_count", counting)
+    op = _lattice_op(h=0.25)
+    got = eigs_window(op, 0.0, 4.0, tol=1e-9)
+    assert got.certified and got.info.sectors == 4
+    assert len(counted) >= 10
+    assert len(bounded) == 5 and bounded[0] == id(op.mat)
+    assert sorted(bounded) == sorted(set(counted))
+
+
+def test_ledger_conflict_is_sticky(monkeypatch):
+    # once two counts on an operator are out of order, nothing built on it
+    # is certified again, even with honest counts; a copy starts afresh
+    op = _lattice_op(h=0.3)
+    true_count = eigensolve.inertia_count
+    monkeypatch.setattr(eigensolve, "inertia_count",
+                        lambda op, s, direction=1.0: 40 if direction < 0
+                        else 10)
+    assert not eigs_window(op, 0.0, 3.0).certified
+    monkeypatch.setattr(eigensolve, "inertia_count", true_count)
+    res = eigs_window(op, 0.0, 3.0)
+    assert not res.certified and res.k == 0
+    assert "non-monotone inertia counts 40, 10" in res.info.message
+    assert not eigs_lowest(op, 3).certified
+    fresh = eigs_window(dataclasses.replace(op), 0.0, 3.0)
+    assert fresh.certified and fresh.k > 0
+
+
+def test_copies_start_with_an_empty_ledger():
+    # the ledger belongs to one matrix: copies start without it, and
+    # equality ignores it
+    spec = DomainSpec(dimension=2, truncation_radius=3.0,
+                      obstacle=DiskObstacle((0.0, 0.0), 1.0))
+    g = build_grid(spec, 0.3)
+    ph = link_phases(g, FieldSpec.constant(1.0))
+    omega = assemble(g, ph, region="omega", gamma=0.5)
+    obstacle = assemble(g, ph, region="obstacle", gamma=0.5)
+    for op in (omega, obstacle):
+        eigs_window(op, -2.0, 3.0)
+    shifts, directions, counts = zip(*omega._ledger.entries)
+    assert list(zip(shifts, directions)) == sorted(zip(shifts, directions))
+    assert list(counts) == sorted(counts)
+    assert counts[0] == 0 and counts[-1] == omega.n and len(counts) > 2
+    copy = dataclasses.replace(omega)
+    for fresh in (copy, omega.shifted(1.0),
+                  HermitianOperator.from_matrix(omega.mat),
+                  direct_sum(omega, obstacle)):
+        assert fresh._ledger is None
+    assert omega == copy and omega._ledger is not None
 
 
 def test_recovered_total_checked_against_census(monkeypatch):
@@ -860,8 +952,8 @@ def test_sector_blocks_are_the_congruence(d):
     g = build_grid(DomainSpec(d, 2.0, "disk", None), 0.4)
     op = assemble(g, link_phases(g, FieldSpec.radial_decay(1.0, 2.0, d)),
                   region="full")
-    scale = eigensolve._operator_scale(op.mat)
-    sectors = eigensolve._rotation_sectors(op, scale)
+    scale = eigensolve._ledger(op).scale
+    sectors = eigensolve._rotation_sectors(op)
     dims = [sub.n for sub, _ in sectors]
     fixed = int(np.sum(op.rotation == np.arange(op.n)))
     assert dims == [dims[1] + fixed] + [(op.n - fixed) // 4] * 3
@@ -887,7 +979,7 @@ def test_sector_window_factorisations(any_size, lu_counter):
     _assert_matches_oracle(got, eigs_window(op, 0.0, 4.0, method="dense"),
                            1e-9)
     assert got.info.sectors == 4
-    hi = 4.0 + eigensolve._EDGE_PAD * eigensolve._operator_scale(op.mat)
+    hi = 4.0 + eigensolve._EDGE_PAD * eigensolve._ledger(op).scale
     assert lu_counter[:5] == [hi] * 5 and len(lu_counter) == 9
 
 
@@ -895,8 +987,8 @@ def _with_wrong_block(monkeypatch, change):
     """Make _rotation_sectors return sector 1 with its block changed."""
     true_sectors = eigensolve._rotation_sectors
 
-    def wrong(op, scale):
-        sectors = true_sectors(op, scale)
+    def wrong(op):
+        sectors = true_sectors(op)
         sub, basis = sectors[1]
         sectors[1] = (HermitianOperator.from_matrix(change(sub.mat)), basis)
         return sectors

@@ -44,6 +44,7 @@ def test_config_validation():
     dict(h=-0.1), dict(h=0.0), dict(h=float("nan")), dict(h=float("inf")),
     dict(tol=-1.0), dict(tol=0.0), dict(tol=float("nan")),
     dict(cap=0),
+    dict(truncation_radius=-2.0), dict(truncation_radius=float("nan")),
     dict(boundary="neumann"),
     dict(boundary="dirichlet"),                   # no obstacle to act on
     dict(delta=1.5),                              # levels 1, 3, 5 overlap

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from magspec import eigensolve
+from magspec import eigensolve, probes
 from magspec.assembly import HermitianOperator, assemble, direct_sum
 from magspec.fields import FieldSpec, link_phases
 from magspec.geometry import BoxObstacle, DiskObstacle, DomainSpec, build_grid
@@ -53,8 +53,8 @@ def test_shift_refuses_uncertified_lowest(monkeypatch):
     low = np.linalg.eigvalsh(op.dense())[0]
     true_count = eigensolve.inertia_count
 
-    def faulty(op, s, _scale=None, direction=1.0):
-        n = true_count(op, s, _scale=_scale, direction=direction)
+    def faulty(op, s, direction=1.0):
+        n = true_count(op, s, direction=direction)
         return n + 500 if s < low + 1.0 else n
 
     monkeypatch.setattr(eigensolve, "inertia_count", faulty)
@@ -62,6 +62,31 @@ def test_shift_refuses_uncertified_lowest(monkeypatch):
                        match="not certified.*non-monotone") as err:
         hermitian_shift(op)
     assert not err.value.partial.certified
+
+
+def test_shift_skips_operators_one_count_proves_nonnegative(monkeypatch,
+                                                            lu_counter):
+    # the operators of the resolvent_probe benchmark at h = 0.25: H_full
+    # counts 0 at 0, so its lowest eigenvalue (1.79) cannot set the shift
+    # and is not computed; H_split (lowest -1.63) sets it as before
+    spec = DomainSpec(2, 1.75, "box", BoxObstacle((0.0, 0.0), (0.5, 0.5)))
+    g = build_grid(spec, 0.25)
+    ph = link_phases(g, FieldSpec.constant(1.0))
+    full = assemble(g, ph, region="full")
+    split = direct_sum(assemble(g, ph, region="omega", gamma=0.5),
+                       assemble(g, ph, region="obstacle", gamma=0.5))
+    lowest = []
+    true_lowest = probes.eigs_lowest
+
+    def recording(op, *args, **kwargs):
+        lowest.append(op)
+        return true_lowest(op, *args, **kwargs)
+
+    monkeypatch.setattr(probes, "eigs_lowest", recording)
+    assert hermitian_shift(full) == 1.0
+    assert lu_counter == [0.0] and not lowest
+    assert hermitian_shift(full, split) == 2.6312613239707616
+    assert lowest == [split]
 
 
 # ── Position-based random fields ───────────────────────────────────────────
