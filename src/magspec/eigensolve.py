@@ -3,9 +3,12 @@
 Two query styles, both answered by one certified path at every size:
 
 * eigs_lowest  -- k smallest eigenvalues.  A Gershgorin lower bound, where
-  the inertia count is 0, and an upper shift widened and then halved by
-  inertia counts bracket a window holding at least k eigenvalues; the window
-  is solved as below and its lowest k are kept.
+  the inertia count is 0, and an upper shift bracket a window holding at
+  least k eigenvalues.  The bracket starts from the counts already recorded
+  on the operator and adds only those it still needs: a first shift sized
+  for the census it accepts, widened and then halved until the census is
+  small or the bracket is narrower than one cluster.  The window is solved
+  as below and its lowest k are kept.
 * eigs_window  -- every eigenvalue in the closed window [a, b].  Inertia
   counts at the edges fix the census.
 
@@ -14,9 +17,10 @@ refuses unusable counts, splits the census into slices by inertia bisection
 and solves each by shift-invert Lanczos.
 
 The count rule.  Every inertia count either query takes on an operator,
-at a window or sector edge, a bisection point or a bracket shift, goes
-through _count, which records it in the operator's ledger (_Ledger, kept on
-HermitianOperator._ledger with the Gershgorin bounds and max|diag H|).
+at a window or sector edge, a bisection point or a bracket shift, and
+probes.hermitian_shift's count at 0 go through _count, which records them
+in the operator's ledger (_Ledger, kept on HermitianOperator._ledger with
+the Gershgorin bounds and max|diag H|).
 Counts must be monotone in the shift: each recorded count lies between
 those of the nearest recorded shifts below and above it, with 0 below every
 shift and n above.  The first count that breaks the rule marks the
@@ -77,7 +81,8 @@ _BISECT_STEPS = 60        # halvings of the lowest-k bracket before settling
 _EDGE_PAD = 1e-12         # window pad and first inertia nudge, x max|diag H|
 _CHECK_EVERY = 8          # Krylov steps between looks at the Ritz estimates
 _SHIFT_GAP = 1e-7         # slice width below which the shift is placed as if
-                          # this wide, x max|diag H|
+                          # this wide, and lowest-k bracket width at which
+                          # halving stops, x max|diag H|
 _SOLVE_PIVOT = 0.1        # least diagonal pivot of the solves' LU, x column
 _GS_PASSES = 3            # most full Gram-Schmidt passes per Krylov step
 _DGKS = 2.0 ** -0.5       # a pass keeping less of the norm is repeated
@@ -253,8 +258,8 @@ def inertia_count(op, s, direction=1.0):
 
     Below the Gershgorin bound lo the count is 0, and above hi it is n, with
     no factorization; the bounds and max|diag H| are read from op's ledger,
-    and the count is not recorded there (eigensolve's own counts go through
-    _count).  _gershgorin_bounds widens both by a margin proven to
+    and the count is not recorded there (the package's own counts go
+    through _count).  _gershgorin_bounds widens both by a margin proven to
     exceed their rounding, at most 6e-15 max|diag H| on lattice operators,
     so a shift at or inside an exact bound still factorizes, while a window
     edge padded below 0 on a nonnegative operator does not.  A shift
@@ -716,11 +721,18 @@ def _sliced(op, lo, hi, na, nb, tol, seed, return_vectors, what,
 def _lowest_sliced(op, k, tol, seed, return_vectors):
     """Lowest k: bracket them by inertia counts, then solve the bracket.
 
-    Nothing lies below the Gershgorin bound lo and everything below top,
-    just above hi, with no factorization.  An upper shift s is widened from
-    lo until at least k eigenvalues lie below it, then halved until the
-    census is small, or until a count breaks the count rule.  The lowest k
-    found by _sliced in [lo, s) are the lowest k.
+    The bracket starts from op's ledger: 0 below the Gershgorin bound lo, n
+    below top, just above hi, and every count already recorded on op.  The
+    highest recorded shift with fewer than k is the lower end below, and
+    the lowest with at least k the upper shift s; only the counts still
+    missing are taken.  While s is top, it is widened from lo, first to
+    where a uniform spread over [lo, hi] would hold target = max(2k, k +
+    16), the census the bracket accepts, and doubled until at least k lie
+    below it.  Then it is halved until the census is at most target, until
+    s - below is under _SHIFT_GAP max|diag H| (the width at which slices
+    treat eigenvalues as one cluster, which counts inside it cannot split),
+    or until a count breaks the count rule.  The lowest k found by _sliced
+    in [lo, s) are the lowest k.
     """
     book = _ledger(op)
     lo, hi = book.lo, book.hi
@@ -728,7 +740,13 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
     target = max(2 * k, k + 16)
     below = lo                      # the highest shift with fewer than k
     s, ns = top, op.n               # the lowest shift with at least k
-    width = max((hi - lo) * k / op.n, 1e-8 * book.scale)
+    for t, _, nt in book.entries:
+        if nt >= k:
+            if t < s:
+                s, ns = t, nt
+            break
+        below = max(below, t)
+    width = max((hi - lo) * target / op.n, 1e-8 * book.scale)
     halvings = 0
     while book.conflict is None:
         # widen until a count reaches k or the next shift would pass top
@@ -736,9 +754,13 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
         if widening:
             t = lo + width
             width *= 2.0
+            if t <= below:
+                continue
         else:
             t = 0.5 * (below + s)
-            if halvings == _BISECT_STEPS or ns <= target or not below < t < s:
+            if (halvings == _BISECT_STEPS or ns <= target
+                    or s - below < _SHIFT_GAP * book.scale
+                    or not below < t < s):
                 break
             halvings += 1
         nt = _count(op, t)
@@ -766,6 +788,10 @@ def eigs_lowest(op, k, tol=1e-8, seed=0, method="lanczos",
 
     method "lanczos" brackets them by inertia counts and solves the bracket
     by shift-invert Lanczos slices in _sliced; "dense" is the LAPACK oracle.
+    The bracket starts from the counts op's ledger already holds, from
+    earlier queries on op or from probes.hermitian_shift, and stops halving
+    once it is narrower than _SHIFT_GAP * max|diag H|: a cluster that narrow
+    is solved whole, so the census may then exceed max(2k, k + 16).
     The sliced result is certified when its counts obey the count rule and
     the pieces add up to the inertia census of the bracket; otherwise
     certified is False and info.message says why.  On non-convergence raises

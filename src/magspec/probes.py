@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .eigensolve import (NonConvergence, eigs_lowest, inertia_count,
-                         shifted_solver)
+from .eigensolve import NonConvergence, _count, eigs_lowest, shifted_solver
 
 
 # ── Shift policy ───────────────────────────────────────────────────────────
@@ -39,8 +38,12 @@ def hermitian_shift(*ops, margin=1.0):
     resolvent quantities stay comparable.  margin must be finite and
     positive, or H + cI could be singular.  An operator whose inertia count
     at 0 is 0 is nonnegative, so it cannot set the maximum and its lowest
-    eigenvalue is not computed.  Raises NonConvergence, carrying the result,
-    when a lowest eigenvalue is not certified.
+    eigenvalue is not computed.  The count at 0 is recorded in the
+    operator's ledger like every other eigensolve count, so on an operator
+    that counts at least 1 there, eigs_lowest's bracket starts at 0 and
+    takes no further count when that census is small.  Raises
+    NonConvergence, carrying the result, when a lowest eigenvalue is not
+    certified.
     """
     if len(ops) == 0:
         raise ValueError("need at least one operator")
@@ -48,7 +51,7 @@ def hermitian_shift(*ops, margin=1.0):
     if not (np.isfinite(margin) and margin > 0.0):
         raise ValueError(f"margin must be finite and positive, got {margin}")
     lows = []
-    for op in [op for op in ops if inertia_count(op, 0.0) != 0]:
+    for op in [op for op in ops if _count(op, 0.0) != 0]:
         res = eigs_lowest(op, 1, return_vectors=False)
         if not res.certified:
             raise NonConvergence("lowest eigenvalue not certified: "

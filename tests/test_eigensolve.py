@@ -187,18 +187,17 @@ def test_whole_spectrum_window_factorises_only_its_slice(lu_counter):
     assert len(lu_counter) == 1
 
 
-def test_lowest_k_costs_three_counts_and_one_slice(lu_counter):
-    # the operator of the lowest_lanczos benchmark: the bracket widens to
-    # four times its first width, whose count of 11 needs no halving, and
-    # one slice solves [lo, s)
-    g = build_grid(DomainSpec(dimension=2, truncation_radius=8.0), 0.5)
+def test_lowest_k_costs_one_count_and_one_slice(lu_counter):
+    # the operator of the lowest_lanczos benchmark: the first shift, sized
+    # for the census of target = 21 the bracket accepts, counts 11, which
+    # needs no halving, and one slice solves [lo, s)
+    g = build_grid(DomainSpec(2, 8.0, "disk"), 0.5)
     op = assemble(g, link_phases(g, FieldSpec.radial_decay(1.0, 2.0)))
     got = eigs_lowest(op, 5, return_vectors=False)
-    assert got.certified
+    assert got.certified and "count 11" in got.info.message
     lo, hi = eigensolve._gershgorin_bounds(op.mat)
-    w = (hi - lo) * 5 / op.n
-    assert lu_counter == pytest.approx(
-        [lo + w, lo + 2 * w, lo + 4 * w, lo + 0.5137 * 4 * w], rel=1e-12)
+    w = (hi - lo) * 21 / op.n
+    assert lu_counter == pytest.approx([lo + w, lo + 0.5137 * w], rel=1e-12)
 
 
 # ── Lowest-k queries ───────────────────────────────────────────────────────
@@ -411,9 +410,15 @@ def _assert_matches_oracle(got, want, tol):
 
 
 @_ORACLE
-@given(op=_problems(), k=st.integers(1, 25))
-def test_lowest_matches_dense_oracle(op, k):
+@given(op=_problems(), k=st.integers(1, 25),
+       window=st.none() | st.tuples(st.floats(-2.0, 4.0), st.floats(0.0, 4.0)))
+def test_lowest_matches_dense_oracle(op, k, window):
+    # with a window query first, the ledger holds counts at both of its
+    # edges, in both nudge directions, from which the bracket starts
     want = eigs_lowest(op, k, method="dense", return_vectors=False)
+    if window is not None:
+        a, width = window
+        eigs_window(op, a, a + width, tol=1e-9)
     got = eigs_lowest(op, k, tol=1e-9, method="lanczos", return_vectors=False)
     _assert_matches_oracle(got, want, 1e-9)
     assert got.info.method == "lanczos"
@@ -473,6 +478,44 @@ def test_lowest_multiplet_straddling_k():
     assert np.allclose(got.eigenvalues, 2.0, atol=1e-9)
 
 
+def test_lowest_k_stops_halving_at_a_cluster(monkeypatch):
+    # 40 eigenvalues within 4e-11 of 1, more than target = 21 and far
+    # narrower than _SHIFT_GAP x max|diag H| = 1e-6: halving cannot split
+    # them, so the bracket stops once it is that narrow and solves them whole
+    d = np.concatenate([1.0 + np.linspace(0.0, 4e-11, 40),
+                        np.linspace(2.0, 10.0, 300)])
+    op = HermitianOperator.from_matrix(sp.diags(d))
+    true_count = eigensolve.inertia_count
+    shifts = []
+
+    def counting(op, s, direction=1.0):
+        shifts.append(s)
+        return true_count(op, s, direction=direction)
+
+    monkeypatch.setattr(eigensolve, "inertia_count", counting)
+    got = eigs_lowest(op, 5, tol=1e-9, return_vectors=False)
+    assert got.certified and "count 40" in got.info.message, got.info.message
+    assert np.allclose(got.eigenvalues, d[:5], atol=1e-9)
+    assert len(shifts) <= 25
+
+
+def test_lowest_k_inside_a_landau_cluster():
+    # free constant-field disk, R = 12, h = 0.25 (n = 7209): the 5th
+    # eigenvalue lies in the lowest bulk Landau cluster of 32 states, where
+    # counts are unproven; halving into it read "non-monotone inertia counts
+    # 31, 28" after 28 LUs.  The lowest five must match a window solve of a
+    # copy (no ledger, and no rotation, so one whole-operator slice), which
+    # counts only at its edges
+    g = build_grid(DomainSpec(2, 12.0, "disk"), 0.25)
+    op = assemble(g, link_phases(g, FieldSpec.constant(1.0)))
+    got = eigs_lowest(op, 5, return_vectors=False)
+    assert got.certified and got.k == 5, got.info.message
+    assert np.all(got.residuals <= 1e-8)
+    want = eigs_window(dataclasses.replace(op), 0.0, 1.0)
+    assert want.certified and want.k > 32
+    assert np.allclose(got.eigenvalues, want.eigenvalues[:5], atol=1e-8)
+
+
 def test_window_edges_on_lattice_eigenvalues():
     # both edges sit on eigenvalues (to rounding): the closed window keeps
     # them on both paths, though eigh may return an edge value an ulp outside
@@ -503,13 +546,14 @@ def test_bisection_above_slice_max(monkeypatch):
     want = eigs_lowest(op, k, method="dense", return_vectors=False)
     got = eigs_lowest(op, k, tol=1e-9, method="lanczos", return_vectors=False)
     _assert_matches_oracle(got, want, 1e-9)
-    # the bracket widens twice and halves once to s; its census of 219 is
-    # then bisected at the midpoint of [lo, s) and of the upper half
+    # the first shift, sized for target = 260, counts 285; the bracket
+    # halves twice, to 114 and then to s with 219; that census is then
+    # bisected at the midpoint of [lo, s) and of the upper half
     lo, hi = eigensolve._gershgorin_bounds(op.mat)
-    w = (hi - lo) * k / op.n
-    s = lo + 1.5 * w
+    w = (hi - lo) * 2 * k / op.n
+    s = lo + 0.75 * w
     mid = 0.5 * (lo + s)
-    assert shifts == pytest.approx([lo + w, lo + 2 * w, s, mid,
+    assert shifts == pytest.approx([lo + w, lo + 0.5 * w, s, mid,
                                     0.5 * (mid + s)], rel=1e-12)
     b = float(want.eigenvalues[-1]) + 0.05
     want = eigs_window(op, 0.0, b, method="dense")
@@ -558,7 +602,7 @@ def test_non_monotone_count_is_uncertified(monkeypatch):
      5, lambda s, n: n + 500 if s < 1.1 else n),
     # a widening shift counts fewer than the shift below it
     (np.concatenate([[0.0], np.linspace(5.0, 10.0, 299)]),
-     5, lambda s, n: 0 if 0.3 < s < 1.0 else n),
+     5, lambda s, n: 0 if 1.0 < s < 2.0 else n),
 ], ids=["above", "below"])
 def test_non_monotone_bracket_count_is_uncertified(monkeypatch, d, k, bad):
     # the lowest-k bracket holds its counts to the rule of window counts:
@@ -622,6 +666,35 @@ def test_bisection_count_checked_across_branches(monkeypatch, lu_counter):
     assert not res.certified and res.k == 0
     assert "non-monotone inertia counts 115, 114" in res.info.message
     assert len(shifts) == 4 and lu_counter == shifts
+
+
+def test_lowest_k_starts_from_recorded_counts(lu_counter):
+    # a window query counted 10 at its upper edge: for the lowest 6 that
+    # count is a bracket within target = 22, so only its slice factorises
+    op = _lattice_op(h=0.3)
+    w = np.linalg.eigvalsh(op.dense())
+    b = 0.5 * (w[9] + w[10])
+    assert eigs_window(op, 0.0, b).k == 10
+    lu_counter.clear()
+    got = eigs_lowest(op, 6, tol=1e-9, return_vectors=False)
+    _assert_matches_oracle(got, eigs_lowest(op, 6, method="dense"), 1e-9)
+    book = eigensolve._ledger(op)
+    s = b + eigensolve._EDGE_PAD * book.scale
+    assert lu_counter == pytest.approx([book.lo + 0.5137 * (s - book.lo)],
+                                       rel=1e-12)
+
+
+def test_lowest_k_widens_only_above_recorded_counts(lu_counter):
+    # 3 eigenvalues near 0 and 297 in [9, 10]: a window [0, 8] counted 3,
+    # fewer than k = 5, at 8.  The widening shifts at or below 8 are known
+    # to count fewer than k, so none of them is counted again
+    d = np.concatenate([[0.0, 0.05, 0.1], np.linspace(9.0, 10.0, 297)])
+    op = HermitianOperator.from_matrix(sp.diags(d))
+    assert eigs_window(op, 0.0, 8.0).k == 3
+    lu_counter.clear()
+    got = eigs_lowest(op, 5, tol=1e-9, return_vectors=False)
+    _assert_matches_oracle(got, eigs_lowest(op, 5, method="dense"), 1e-9)
+    assert min(lu_counter[:-1]) > 8.0       # the last LU is the slice's
 
 
 def test_sector_window_computes_bounds_once_per_operator(any_size,

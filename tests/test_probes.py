@@ -68,7 +68,9 @@ def test_shift_skips_operators_one_count_proves_nonnegative(monkeypatch,
                                                             lu_counter):
     # the operators of the resolvent_probe benchmark at h = 0.25: H_full
     # counts 0 at 0, so its lowest eigenvalue (1.79) cannot set the shift
-    # and is not computed; H_split (lowest -1.63) sets it as before
+    # and is not computed; H_split (lowest -1.63) sets it.  Its count of 1
+    # at 0 is recorded and is its whole lowest-1 bracket: after it only the
+    # slice [lo, 0) factorises, with no bracket count
     spec = DomainSpec(2, 1.75, "box", BoxObstacle((0.0, 0.0), (0.5, 0.5)))
     g = build_grid(spec, 0.25)
     ph = link_phases(g, FieldSpec.constant(1.0))
@@ -85,8 +87,13 @@ def test_shift_skips_operators_one_count_proves_nonnegative(monkeypatch,
     monkeypatch.setattr(probes, "eigs_lowest", recording)
     assert hermitian_shift(full) == 1.0
     assert lu_counter == [0.0] and not lowest
-    assert hermitian_shift(full, split) == 2.6312613239707616
+    lu_counter.clear()
+    shift = hermitian_shift(full, split)
+    assert shift == pytest.approx(2.6312613239707616, rel=1e-12)
     assert lowest == [split]
+    lo = eigensolve._ledger(split).lo
+    assert lu_counter == pytest.approx([0.0, 0.0, lo + 0.5137 * (0.0 - lo)],
+                                       rel=1e-12)
 
 
 # ── Position-based random fields ───────────────────────────────────────────
