@@ -52,17 +52,22 @@ class HermitianOperator:
     rotation  row -> row of its node turned by x -> (-x2, x1) in the plane
               of axes 0 and 1, or None; assemble records it when the region
               is closed under the turn, and eigs_window solves one rotation
-              sector at a time when H commutes with it.  shifted keeps it;
-              from_matrix, direct_sum and dataclasses.replace start without
-              it, so a replaced mat is never paired with a stale turn.
+              sector at a time when H commutes with it.
 
     An operator is not modified after assembly: build a new one (shifted,
     dataclasses.replace, from_matrix) instead of rebinding or editing mat.
-    Two caches rely on this.  Equality ignores them, and shifted,
-    from_matrix, direct_sum and dataclasses.replace start without them:
+    One rule holds for what an operator carries besides mat, nodes, region
+    and meta: a copy keeps what is checked against its mat on every use and
+    drops what is not.  So shifted and dataclasses.replace keep rotation,
+    which _rotation_sectors refuses unless it has n rows and commutes with
+    mat; from_matrix and direct_sum have none.  Every copy starts without
+    the two caches, and equality ignores all three:
 
-    _lu      the sparse LU of H + cI for the last shift c the resolvent
-             probes used; pickling drops it.
+    _lu      on the split operator of a resolvent probe pair: the sparse
+             LU of H + cI for the last shift c the probes used, with the
+             rows S and the |S| x |S| core M of the exact update to the full
+             operator it was last probed against (probes module docstring);
+             pickling drops it.
     _ledger  filled by eigensolve on first use: the Gershgorin bounds of H,
              max|diag H|, and every inertia count taken on H, with the first
              pair of counts found out of order, which no later result built
@@ -73,8 +78,8 @@ class HermitianOperator:
     nodes: np.ndarray
     region: str
     meta: dict = field(default_factory=dict)
-    rotation: np.ndarray | None = field(default=None, init=False, repr=False,
-                                        compare=False)
+    rotation: np.ndarray | None = field(default=None, kw_only=True,
+                                        repr=False, compare=False)
     _lu: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _ledger: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -100,9 +105,8 @@ class HermitianOperator:
         """Operator plus c times the identity (same bookkeeping)."""
         out = HermitianOperator(
             (self.mat + c * sp.identity(self.n, dtype=complex, format="csr")).tocsr(),
-            self.nodes, self.region, dict(self.meta))
+            self.nodes, self.region, dict(self.meta), rotation=self.rotation)
         out.meta["shift"] = self.meta.get("shift", 0.0) + c
-        out.rotation = self.rotation
         return out
 
     @staticmethod
@@ -199,9 +203,9 @@ def assemble(grid, phases, region="omega", gamma=0.0, boundary="robin"):
         "field": phases.field,
         "domain": grid.spec,
     }
-    op = HermitianOperator(mat, np.nonzero(in_region)[0], region, meta)
-    op.rotation = _quarter_turn(grid, op.nodes, row_of)
-    return op
+    nodes = np.nonzero(in_region)[0]
+    return HermitianOperator(mat, nodes, region, meta,
+                             rotation=_quarter_turn(grid, nodes, row_of))
 
 
 def _quarter_turn(grid, nodes, row_of):

@@ -20,7 +20,8 @@ The count rule.  Every inertia count either query takes on an operator,
 at a window or sector edge, a bisection point or a bracket shift, and
 probes.hermitian_shift's count at 0 go through _count, which records them
 in the operator's ledger (_Ledger, kept on HermitianOperator._ledger with
-the Gershgorin bounds and max|diag H|).
+the Gershgorin bounds and max|diag H|) and reads back, without a
+factorization, a shift and direction recorded before.
 Counts must be monotone in the shift: each recorded count lies between
 those of the nearest recorded shifts below and above it, with 0 below every
 shift and n above.  The first count that breaks the rule marks the
@@ -215,6 +216,12 @@ class _Ledger:
         self.entries = [(-np.inf, -np.inf, 0), (np.inf, np.inf, mat.shape[0])]
         self.conflict = None
 
+    def find(self, s, direction):
+        """The count recorded at (s, direction), or None."""
+        i = bisect.bisect(self.entries, (s, direction), key=lambda e: e[:2])
+        p, d, count = self.entries[i - 1]
+        return count if (p, d) == (s, direction) else None
+
     def record(self, s, direction, count):
         i = bisect.bisect(self.entries, (s, direction), key=lambda e: e[:2])
         self.entries.insert(i, (s, direction, count))
@@ -299,10 +306,16 @@ def inertia_count(op, s, direction=1.0):
 
 
 def _count(op, s, direction=1.0):
-    """inertia_count, recorded in op's ledger under the count rule."""
+    """inertia_count, recorded in op's ledger under the count rule.  A shift
+    and direction the ledger already holds are read back, not factorised
+    again."""
+    book = _ledger(op)
+    known = book.find(s, direction)
+    if known is not None:
+        return known
     count = inertia_count(op, s, direction=direction)
     if count is not None:
-        _ledger(op).record(s, direction, count)
+        book.record(s, direction, count)
     return count
 
 
@@ -565,8 +578,9 @@ def _rotation_sectors(op):
     """[(H_m, B_m) for m = 0..3] when op commutes with its quarter turn U,
     else None.
 
-    op.rotation, recorded by assemble, maps each row to the row of its node
-    turned by x -> (-x2, x1).  U commutes with H when no entry of U H U^H - H
+    op.rotation, recorded by assemble and kept by copies, maps each row to
+    the row of its node turned by x -> (-x2, x1); one of another length than
+    n is refused.  U commutes with H when no entry of U H U^H - H
     exceeds _TURN_TOL max|diag H|: they are exactly equal for a constant
     field and equal to rounding of the phases for the azimuthal gauge of a
     radial one.  An orbit {x, Ux, U^2 x, U^3 x} has four rows, or one for a node
@@ -584,7 +598,7 @@ def _rotation_sectors(op):
     block with its conjugate transpose makes it exactly Hermitian.
     """
     rot = op.rotation
-    if rot is None:
+    if rot is None or len(rot) != op.n:
         return None
     n = op.n
     coo = op.mat.tocoo()

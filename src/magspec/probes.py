@@ -12,17 +12,23 @@ difference obeys a summation-by-parts identity pairing the Robin flux defect
 of one solve with the jump of the other across the boundary faces; the
 identity closes exactly in the continuum and to O(h) on the lattice.
 
-Both probes run on sparse factorisations: one LU each of H_split + c and
-H_full + c, and solves against them.  No n x n matrix is formed, so the
-probes reach grids as fine as the factorisations do.  Each operator keeps
-the LU of H + c for the last shift c it was probed at, so the SVD and every
-identity check at one shift share one factorisation per operator.
+Both probes run on one sparse factorisation per pair, that of
+A = H_split + c.  H_full - H_split = P_S D_SS P_S^T is supported on the
+rows S of the crossing edges and boundary faces, so with X = A^-1 P_S the
+Woodbury identity gives the full resolvent exactly from the split one:
+
+    (H_full + c)^-1 = A^-1 - X M X^H,   M = (I + D_SS X_SS)^-1 D_SS,
+
+with M |S| x |S| and Hermitian, and V = X M X^H.  No n x n matrix is formed,
+so the probes reach grids as fine as the factorisation does.  The split
+operator keeps the LU of A for the last shift c it was probed at, with S
+and M for the full operator it was probed against, so the SVD and every
+identity check of one pair at one shift share one factorisation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .eigensolve import NonConvergence, _count, eigs_lowest, shifted_solver
 
@@ -60,15 +66,38 @@ def hermitian_shift(*ops, margin=1.0):
     return max(0.0, -min(lows, default=0.0)) + margin
 
 
-def _resolvent(op, c):
-    """Solver for (H + c) x = b from the LU of H + c kept on op.
+def _update(op_full, op_split, c):
+    """(solve, S, M, X or None) for the pair at shift c.
 
-    One entry per operator: a new shift replaces the kept LU, which bounds
-    memory to one factorisation per operator.
+    solve is the solver for (H_split + c) x = b, S the rows on which the
+    two operators differ and M the |S| x |S| Hermitian core of
+    (H_full + c)^-1 = A^-1 - X M X^H.  One entry is kept per split operator:
+    a new shift replaces its LU, and a new full operator its S and M, which
+    bounds memory to one factorisation plus |S|^2.  X = A^-1 P_S is not
+    kept; it is returned only when it was just solved for.
     """
-    if op._lu is None or op._lu[0] != c:
-        op._lu = (c, shifted_solver(op.mat, -c))
-    return op._lu[1]
+    kept_c, solve, kept_full, support, core = op_split._lu or (None,) * 5
+    if kept_c != c:
+        solve = shifted_solver(op_split.mat, -c)
+    elif kept_full is op_full:
+        return solve, support, core, None
+    diff = (op_full.mat - op_split.mat).tocsr()
+    diff.eliminate_zeros()
+    support = np.union1d(*diff.nonzero())
+    eye = np.eye(len(support))
+    x = solve(_columns(op_split.n, support, eye))
+    d_ss = diff[support][:, support].toarray()
+    core = np.linalg.solve(eye + d_ss @ x[support], d_ss)
+    core = 0.5 * (core + core.conj().T)
+    op_split._lu = (c, solve, op_full, support, core)
+    return solve, support, core, x
+
+
+def _columns(n, rows, block):
+    """n-row array holding block on rows and zeros elsewhere: P_S block."""
+    out = np.zeros((n, block.shape[1]), dtype=complex)
+    out[rows] = block
+    return out
 
 
 # ── Test fields ────────────────────────────────────────────────────────────
@@ -82,14 +111,16 @@ def smooth_random_field(grid, seed, n_bumps=6):
     refinement comparisons of the boundary identity meaningful.
     """
     rng = np.random.default_rng(seed)
-    pos = grid.positions
+    axes = grid.positions.T
     R = grid.spec.truncation_radius
     out = np.zeros(grid.n_nodes, dtype=complex)
     for _ in range(n_bumps):
         ctr = rng.uniform(-0.7 * R, 0.7 * R, size=grid.dimension)
         wid = rng.uniform(0.2 * R, 0.5 * R)
         amp = rng.standard_normal() + 1j * rng.standard_normal()
-        d2 = np.sum((pos - ctr) ** 2, axis=1)
+        d2 = (axes[0] - ctr[0]) ** 2    # summed axis by axis, in axis order
+        for x, x0 in zip(axes[1:], ctr[1:]):
+            d2 += (x - x0) ** 2
         out += amp * np.exp(-d2 / (2.0 * wid * wid))
     return out
 
@@ -100,38 +131,26 @@ def smooth_random_field(grid, seed, n_bumps=6):
 def resolvent_difference_svd(op_full, op_split, shift=None, k=10):
     """Leading singular values of V = (H_split + c)^-1 - (H_full + c)^-1.
 
-    V is boundary rank.  With A = H_split + c, B = H_full + c and
-    D = H_full - H_split supported on the node set S,
-
-        V = A^-1 D B^-1 = X D_SS Y^H,   X = A^-1 P_S,  Y = B^-1 P_S
-
-    (B is Hermitian), so two sparse LUs and 2|S| solves give X and Y, and
-    with thin QRs X = Q_X R_X, Y = Q_Y R_Y the singular values of V are
-    those of the |S| x |S| core R_X D_SS R_Y^H.  rank V <= |S|: values past
-    it are exact zeros.  Returns (the min(k, n) leading singular values,
-    shift used).  Supply shift to reuse one (H1) shift across a refinement
-    pair.
+    V is boundary rank: V = X M X^H with X = (H_split + c)^-1 P_S and the
+    |S| x |S| Hermitian M of the module docstring, so one sparse LU and |S|
+    solves give X, and with the thin QR X = Q R the singular values of V are
+    the absolute eigenvalues of the |S| x |S| core R M R^H.  rank V <= |S|:
+    values past it are exact zeros.  Returns (the min(k, n) leading singular
+    values, shift used).  Supply shift to reuse one (H1) shift across a
+    refinement pair.
     """
     if not np.array_equal(op_full.nodes, op_split.nodes):
         raise ValueError("operators act on different node sets")
     if k < 1:
         raise ValueError("k must be positive")
     c = hermitian_shift(op_full, op_split) if shift is None else float(shift)
-    n = op_full.n
-    diff = (op_full.mat - op_split.mat).tocsr()
-    diff.eliminate_zeros()
-    support = np.union1d(*diff.nonzero())
-    m = len(support)
-    sv = np.zeros(min(k, n))
-    if m == 0:
-        return sv, c
-    probe = np.zeros((n, m), dtype=complex)
-    probe[support, np.arange(m)] = 1.0
-    r_x = np.linalg.qr(_resolvent(op_split, c)(probe), mode="r")
-    r_y = np.linalg.qr(_resolvent(op_full, c)(probe), mode="r")
-    core = r_x @ diff[support][:, support].toarray() @ r_y.conj().T
-    top = sla.svdvals(core)[:len(sv)]
-    sv[:len(top)] = top
+    solve, support, core, x = _update(op_full, op_split, c)
+    sv = np.zeros(min(k, op_full.n))
+    if x is None:
+        x = solve(_columns(op_split.n, support, np.eye(len(support))))
+    r = np.linalg.qr(x, mode="r")
+    top = np.sort(np.abs(np.linalg.eigvalsh(r @ core @ r.conj().T)))[::-1]
+    sv[:len(top)] = top[:len(sv)]
     return sv, c
 
 
@@ -186,10 +205,13 @@ def boundary_identity_check(op_full, op_split, grid, phases, gamma,
 
     u solves (H_full + c) u = f and v the split system on g; the weighted
     inner product of Vg with f must match minus the boundary pairing of u
-    and v up to a discretization gap that shrinks linearly in h.  Vg is
-    v - w with w solving (H_full + c) w = g: three solves on one sparse LU
-    each of H_full + c and H_split + c.  Those LUs are kept on the operators
-    and reused by later probes at the same shift.
+    and v up to a discretization gap that shrinks linearly in h.  With
+    A = H_split + c and the S, M of the module docstring, one 2-column solve
+    against A gives A^-1 f and v = A^-1 g, whose rows S are X^H f and X^H g
+    (A is Hermitian); a second one on M times those gives X M X^H f and
+    Vg = X M X^H g, so u = A^-1 f - X M X^H f.  The LU of A, S and M are
+    kept on op_split and reused by later probes of the pair at the same
+    shift.
     """
     order = np.arange(grid.n_nodes)     # the pairing reads u, v by node
     if not (np.array_equal(op_full.nodes, order)
@@ -200,10 +222,13 @@ def boundary_identity_check(op_full, op_split, grid, phases, gamma,
     if g is None:
         g = smooth_random_field(grid, seed + 1)
     c = hermitian_shift(op_full, op_split) if shift is None else float(shift)
-    u, w = _resolvent(op_full, c)(np.column_stack([f, g])).T
-    v = _resolvent(op_split, c)(g)
+    solve, support, core, _ = _update(op_full, op_split, c)
+    a_f, v = solve(np.column_stack([f, g])).T
+    corr_f, vg = solve(_columns(
+        op_split.n, support, core @ np.column_stack([a_f, v])[support])).T
+    u = a_f - corr_f
     hd = grid.h ** grid.dimension
-    lhs = hd * np.vdot(v - w, f)
+    lhs = hd * np.vdot(vg, f)
     rhs = -_boundary_pairing(grid, phases, gamma, u, v)
     gap = abs(lhs - rhs) / max(abs(lhs), np.finfo(float).tiny)
     return BoundaryIdentity(complex(lhs), complex(rhs), float(gap), c)

@@ -288,14 +288,18 @@ def test_quarter_turn_is_recorded(d):
 
 
 def test_quarter_turn_kept_only_with_its_matrix():
+    # copies keep the turn, which is checked against their own matrix on
+    # use (tests/test_eigensolve.py); operators built from other matrices
+    # start without one
     g = _obstacle_grid(0.3)
     ph = link_phases(g, FieldSpec.constant(1.0))
     op = assemble(g, ph, region="omega", gamma=0.5)
     ob = assemble(g, ph, region="obstacle", gamma=0.5)
     assert op.rotation is not None and ob.rotation is not None
     assert op.shifted(2.0).rotation is op.rotation
-    assert dataclasses.replace(op).rotation is None
-    assert dataclasses.replace(op, mat=2 * op.mat).rotation is None
+    assert dataclasses.replace(op).rotation is op.rotation
+    assert dataclasses.replace(op, mat=2 * op.mat).rotation is op.rotation
+    assert dataclasses.replace(op, rotation=None).rotation is None
     assert direct_sum(op, ob).rotation is None
     assert HermitianOperator.from_matrix(op.mat).rotation is None
 

@@ -107,14 +107,16 @@ def test_window_in_one_slice_costs_two_factorisations(lu_counter):
 def test_negative_gamma_edges_above_the_bound_factorise(lu_counter):
     # gamma < 0 pulls eigenvalues below 0 and the Gershgorin bound further
     # down: edges above the bound are counted from a factorisation, also
-    # those below 0 and those just above the bound
-    op = _lattice_op(h=0.3, gamma=-1.0)
-    lo, _ = eigensolve._gershgorin_bounds(op.mat)
-    w = np.linalg.eigvalsh(op.dense())
+    # those below 0 and those just above the bound.  Each window is solved
+    # on a fresh copy, whose ledger holds no edge count yet
+    base = _lattice_op(h=0.3, gamma=-1.0)
+    lo, _ = eigensolve._gershgorin_bounds(base.mat)
+    w = np.linalg.eigvalsh(base.dense())
     assert lo < w[0] < w[1] < 0.0
-    pad = eigensolve._EDGE_PAD * eigensolve._ledger(op).scale
+    pad = eigensolve._EDGE_PAD * eigensolve._ledger(base).scale
     for a, b in ((0.5 * (w[0] + w[1]), 3.0), (0.0, 3.0),
                  (lo + 1.5 * pad, 1.0)):
+        op = dataclasses.replace(base)
         lu_counter.clear()
         want = eigs_window(op, a, b, method="dense")
         got = eigs_window(op, a, b, tol=1e-9, method="lanczos")
@@ -511,7 +513,7 @@ def test_lowest_k_inside_a_landau_cluster():
     got = eigs_lowest(op, 5, return_vectors=False)
     assert got.certified and got.k == 5, got.info.message
     assert np.all(got.residuals <= 1e-8)
-    want = eigs_window(dataclasses.replace(op), 0.0, 1.0)
+    want = eigs_window(dataclasses.replace(op, rotation=None), 0.0, 1.0)
     assert want.certified and want.k > 32
     assert np.allclose(got.eigenvalues, want.eigenvalues[:5], atol=1e-8)
 
@@ -983,11 +985,33 @@ def test_sectors_match_dense_oracle_and_whole_operator(op, a, width):
     # an empty census needs no sectors
     assert got.info.sectors == (4 if want.k else 1)
     # a copy without the quarter turn solves the whole operator
-    whole = eigs_window(dataclasses.replace(op), a, a + width, tol=1e-9,
-                        method="lanczos")
+    whole = eigs_window(dataclasses.replace(op, rotation=None), a, a + width,
+                        tol=1e-9, method="lanczos")
     assert whole.certified and whole.info.sectors == 1
     assert whole.k == got.k
     assert np.allclose(got.eigenvalues, whole.eigenvalues, atol=1e-8)
+
+
+def test_copies_keep_their_sectors(any_size):
+    # dataclasses.replace keeps the quarter turn, so a copy of a centred
+    # disk still solves by sectors; a replaced mat that does not commute
+    # with the turn, or has another size, gets none
+    g = build_grid(DomainSpec(2, 2.0, "disk"), 0.4)
+    ph = link_phases(g, FieldSpec.constant(1.0))
+    op = assemble(g, ph)
+    copy = dataclasses.replace(op)
+    assert copy.rotation is op.rotation
+    got = eigs_window(copy, 0.0, 4.0, tol=1e-9)
+    assert got.certified and got.k > 0 and got.info.sectors == 4
+    chi = np.random.default_rng(2).standard_normal(g.n_nodes)
+    asymmetric = dataclasses.replace(op, mat=assemble(g, ph.shifted(chi)).mat)
+    smaller = dataclasses.replace(op, mat=op.mat[:-1, :-1])
+    for other in (asymmetric, smaller):
+        assert other.rotation is op.rotation
+        assert eigensolve._rotation_sectors(other) is None
+    whole = eigs_window(asymmetric, 0.0, 4.0, tol=1e-9)
+    assert whole.certified and whole.info.sectors == 1
+    assert np.allclose(whole.eigenvalues, got.eigenvalues, atol=1e-8)
 
 
 def test_small_operators_take_the_whole_path():

@@ -70,7 +70,8 @@ def test_shift_skips_operators_one_count_proves_nonnegative(monkeypatch,
     # counts 0 at 0, so its lowest eigenvalue (1.79) cannot set the shift
     # and is not computed; H_split (lowest -1.63) sets it.  Its count of 1
     # at 0 is recorded and is its whole lowest-1 bracket: after it only the
-    # slice [lo, 0) factorises, with no bracket count
+    # slice [lo, 0) factorises, with no bracket count.  H_full's count at 0
+    # is read back from its ledger the second time, not factorised again
     spec = DomainSpec(2, 1.75, "box", BoxObstacle((0.0, 0.0), (0.5, 0.5)))
     g = build_grid(spec, 0.25)
     ph = link_phases(g, FieldSpec.constant(1.0))
@@ -92,7 +93,7 @@ def test_shift_skips_operators_one_count_proves_nonnegative(monkeypatch,
     assert shift == pytest.approx(2.6312613239707616, rel=1e-12)
     assert lowest == [split]
     lo = eigensolve._ledger(split).lo
-    assert lu_counter == pytest.approx([0.0, 0.0, lo + 0.5137 * (0.0 - lo)],
+    assert lu_counter == pytest.approx([0.0, lo + 0.5137 * (0.0 - lo)],
                                        rel=1e-12)
 
 
@@ -284,14 +285,15 @@ def test_identity_rejects_reordered_nodes():
 
 
 def test_probes_factorise_each_operator_once_per_shift(lu_counter):
-    # one SVD and four identity checks at one shift share one LU per
-    # operator; reuse changes no answer, bit for bit, against probes of
-    # freshly assembled operators
+    # one SVD and four identity checks at one shift share one LU, that of
+    # H_split + c: H_full + c is reached through the boundary-rank update
+    # and never factorised.  Reuse changes no answer, bit for bit, against
+    # probes of freshly assembled operators
     g, ph, full, split = _setup(0.3)
     sv, _ = resolvent_difference_svd(full, split, shift=6.0)
     kept = [boundary_identity_check(full, split, g, ph, 0.5, shift=6.0, seed=s)
             for s in range(4)]
-    assert lu_counter == [-6.0, -6.0]
+    assert lu_counter == [-6.0]
     _, _, full2, split2 = _setup(0.3)
     assert np.array_equal(sv, resolvent_difference_svd(full2, split2,
                                                        shift=6.0)[0])
@@ -302,9 +304,58 @@ def test_probes_factorise_each_operator_once_per_shift(lu_counter):
         assert (out.lhs, out.rhs, out.gap) == (fresh.lhs, fresh.rhs, fresh.gap)
 
 
+def test_identity_first_leaves_the_svd_no_factorisation(lu_counter):
+    # the entry an identity check keeps serves a later SVD of the pair: it
+    # solves against the kept LU, and matches a fresh SVD bit for bit
+    g, ph, full, split = _setup(0.3)
+    boundary_identity_check(full, split, g, ph, 0.5, shift=6.0)
+    assert lu_counter == [-6.0]
+    sv, _ = resolvent_difference_svd(full, split, shift=6.0, k=12)
+    assert lu_counter == [-6.0]
+    _, _, full2, split2 = _setup(0.3)
+    assert np.array_equal(sv, resolvent_difference_svd(full2, split2,
+                                                       shift=6.0, k=12)[0])
+
+
+def test_another_full_operator_gets_a_fresh_entry(lu_counter):
+    # the kept S and M belong to the full operator they were formed
+    # against: a gauge-shifted H_full probed against the same split
+    # operator is updated from its own difference, on the same LU, and
+    # each answer equals the dense one
+    g, ph, full, split = _setup(0.3)
+    chi = np.random.default_rng(5).normal(size=g.n_nodes)
+    other = assemble(g, ph.shifted(chi), region="full")
+    eye = np.eye(g.n_nodes)
+    a = np.linalg.inv(split.dense() + 6.0 * eye)
+    for op in (full, other, full):
+        sv, _ = resolvent_difference_svd(op, split, shift=6.0, k=8)
+        assert split._lu[2] is op
+        want = sla.svdvals(a - np.linalg.inv(op.dense() + 6.0 * eye))[:8]
+        assert np.allclose(sv, want, rtol=1e-10, atol=0.0)
+    assert lu_counter == [-6.0]
+    assert not np.allclose(
+        resolvent_difference_svd(other, split, shift=6.0, k=8)[0],
+        resolvent_difference_svd(full, split, shift=6.0, k=8)[0])
+
+
+def test_kept_entry_holds_no_array_of_n_rows():
+    # memory stays one LU plus |S|^2: X = A^-1 P_S is not kept
+    g, ph, full, split = _setup(0.3)
+    resolvent_difference_svd(full, split, shift=6.0)
+    boundary_identity_check(full, split, g, ph, 0.5, shift=6.0)
+    c, _, kept_full, support, core = split._lu
+    assert c == 6.0 and kept_full is full and full._lu is None
+    m = len(support)
+    assert 0 < m < split.n and core.shape == (m, m)
+    assert np.array_equal(core, core.conj().T)
+    for item in split._lu:
+        assert not (isinstance(item, np.ndarray) and item.shape[0] == split.n)
+
+
 def test_kept_lu_follows_the_last_shift(lu_counter):
-    # one LU per operator, for the last shift: returning to a shift
-    # factorises again, and every copy of an operator starts without one
+    # one LU per pair, kept on the split operator for the last shift:
+    # returning to a shift factorises again, and every copy of an operator
+    # starts without one
     g, ph, full, split = _setup(0.3)
     f = smooth_random_field(g, 0)
     gg = smooth_random_field(g, 1)
@@ -316,12 +367,12 @@ def test_kept_lu_follows_the_last_shift(lu_counter):
         v = np.linalg.solve(split.dense() + c * eye, gg)
         want = g.h**2 * np.vdot(v, (full.mat - split.mat) @ u)
         assert out.lhs == pytest.approx(want, rel=1e-11)
-    assert lu_counter == [-6.0, -6.0, -7.0, -7.0, -6.0, -6.0]
-    copy = dataclasses.replace(full)
-    assert full._lu is not None
-    assert copy._lu is None and full.shifted(1.0)._lu is None
-    assert pickle.loads(pickle.dumps(full))._lu is None
-    assert full == copy
+    assert lu_counter == [-6.0, -7.0, -6.0]
+    copy = dataclasses.replace(split)
+    assert split._lu is not None
+    assert copy._lu is None and split.shifted(1.0)._lu is None
+    assert pickle.loads(pickle.dumps(split))._lu is None
+    assert split == copy
 
 
 # ── Differential checks against the dense formulas ─────────────────────────
@@ -369,5 +420,8 @@ def test_probes_match_dense_formulas(problem, k, seed):
     out = boundary_identity_check(full, split, g, ph, gamma, shift=c, seed=seed)
     f = smooth_random_field(g, seed)
     gg = smooth_random_field(g, seed + 1)
-    lhs = g.h**2 * np.vdot(np.linalg.solve(a, gg) - np.linalg.solve(b, gg), f)
+    v = np.linalg.solve(a, gg)
+    lhs = g.h**2 * np.vdot(v - np.linalg.solve(b, gg), f)
     assert abs(out.lhs - lhs) <= 1e-10 * abs(lhs)
+    rhs = -probes._boundary_pairing(g, ph, gamma, np.linalg.solve(b, f), v)
+    assert abs(out.rhs - rhs) <= 1e-10 * abs(rhs)
