@@ -189,10 +189,9 @@ def assemble(grid, phases, region="omega", gamma=0.0, boundary="robin"):
             np.add.at(diag, row_of[side], w_edge)
 
     ri, rj, v = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    all_rows = np.concatenate([ri, rj, np.arange(n_sub)])
-    all_cols = np.concatenate([rj, ri, np.arange(n_sub)])
-    all_vals = np.concatenate([v, np.conj(v), diag.astype(complex)])
-    mat = sp.coo_matrix((all_vals, (all_rows, all_cols)), shape=(n_sub, n_sub)).tocsr()
+    mat = _csr(np.concatenate([ri, rj, np.arange(n_sub)]),
+               np.concatenate([rj, ri, np.arange(n_sub)]),
+               np.concatenate([v, np.conj(v), diag.astype(complex)]), n_sub)
 
     meta = {
         "h": h,
@@ -206,6 +205,20 @@ def assemble(grid, phases, region="omega", gamma=0.0, boundary="robin"):
     nodes = np.nonzero(in_region)[0]
     return HermitianOperator(mat, nodes, region, meta,
                              rotation=_quarter_turn(grid, nodes, row_of))
+
+
+def _csr(rows, cols, vals, n):
+    """n x n csr_matrix in canonical format from coordinates that hold each
+    entry once (duplicates are not summed): one sort on the row-major key
+    and one count per row."""
+    # the keys are distinct, and a stable sort merges the sorted runs that
+    # the callers concatenate
+    order = np.argsort(rows * n + cols, kind="stable")
+    itype = np.int32 if max(n, len(vals)) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=itype)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((vals[order], cols[order].astype(itype), indptr),
+                         shape=(n, n))
 
 
 def _quarter_turn(grid, nodes, row_of):
@@ -231,29 +244,24 @@ def direct_sum(op_omega, op_obstacle):
         if op_omega.meta.get(key) != op_obstacle.meta.get(key):
             raise ValueError(f"operator metadata mismatch on {key!r}")
     nodes = np.concatenate([op_omega.nodes, op_obstacle.nodes])
-    n_full = len(nodes)
-    if len(np.unique(nodes)) != n_full:
-        raise ValueError("operators overlap: regions are not complementary")
-
-    def scatter(op):
-        coo = op.mat.tocoo()
-        return op.nodes[coo.row], op.nodes[coo.col], coo.data
-
-    r1, c1, v1 = scatter(op_omega)
-    r2, c2, v2 = scatter(op_obstacle)
-    # rows are full-grid node ids; compress to 0..n_full-1 preserving order
     order = np.argsort(nodes, kind="stable")
-    rank = np.empty(n_full, dtype=np.int64)
-    rank[order] = np.arange(n_full)
-    lookup = np.full(int(nodes.max()) + 1, -1, dtype=np.int64)
-    lookup[nodes] = rank
-    mat = sp.coo_matrix(
-        (np.concatenate([v1, v2]),
-         (lookup[np.concatenate([r1, r2])], lookup[np.concatenate([c1, c2])])),
-        shape=(n_full, n_full)).tocsr()
+    if np.any(np.diff(nodes[order]) == 0):
+        raise ValueError("operators overlap: regions are not complementary")
+    # row of the sum for each row of the two summands: rank of its node
+    rank = np.empty(len(nodes), dtype=np.int64)
+    rank[order] = np.arange(len(nodes))
+    rows, cols, vals = [], [], []
+    for op, pos in ((op_omega, rank[:op_omega.n]),
+                    (op_obstacle, rank[op_omega.n:])):
+        m = op.mat
+        rows.append(pos[np.repeat(np.arange(op.n), np.diff(m.indptr))])
+        cols.append(pos[m.indices])
+        vals.append(m.data)
+    mat = _csr(np.concatenate(rows), np.concatenate(cols),
+               np.concatenate(vals), len(nodes))
     meta = dict(op_omega.meta)
     meta["region"] = "direct_sum"
-    return HermitianOperator(mat, np.sort(nodes), "direct_sum", meta)
+    return HermitianOperator(mat, nodes[order], "direct_sum", meta)
 
 
 # ── Quadratic form ─────────────────────────────────────────────────────────

@@ -20,10 +20,13 @@ Woodbury identity gives the full resolvent exactly from the split one:
     (H_full + c)^-1 = A^-1 - X M X^H,   M = (I + D_SS X_SS)^-1 D_SS,
 
 with M |S| x |S| and Hermitian, and V = X M X^H.  No n x n matrix is formed,
-so the probes reach grids as fine as the factorisation does.  The split
-operator keeps the LU of A for the last shift c it was probed at, with S
-and M for the full operator it was probed against, so the SVD and every
-identity check of one pair at one shift share one factorisation.
+so the probes reach grids as fine as the factorisation does, and past the
+LU and its solves the SVD does one O(n |S|^2) step: the product that forms
+the Gram matrix X^H X, whose |S| x |S| eigendecomposition gives V's
+spectrum.  The split operator keeps the LU of A for the last shift c it
+was probed at, with S and M for the full operator it was probed against,
+so the SVD and every identity check of one pair at one shift share one
+factorisation.
 """
 
 from dataclasses import dataclass
@@ -81,12 +84,15 @@ def _update(op_full, op_split, c):
         solve = shifted_solver(op_split.mat, -c)
     elif kept_full is op_full:
         return solve, support, core, None
-    diff = (op_full.mat - op_split.mat).tocsr()
-    diff.eliminate_zeros()
-    support = np.union1d(*diff.nonzero())
+    diff = (op_full.mat - op_split.mat).tocoo()
+    keep = diff.data != 0
+    rows, cols = diff.row[keep], diff.col[keep]
+    support = np.union1d(rows, cols)
+    d_ss = np.zeros((len(support),) * 2, dtype=complex)
+    d_ss[np.searchsorted(support, rows),
+         np.searchsorted(support, cols)] = diff.data[keep]
     eye = np.eye(len(support))
     x = solve(_columns(op_split.n, support, eye))
-    d_ss = diff[support][:, support].toarray()
     core = np.linalg.solve(eye + d_ss @ x[support], d_ss)
     core = 0.5 * (core + core.conj().T)
     op_split._lu = (c, solve, op_full, support, core)
@@ -94,8 +100,9 @@ def _update(op_full, op_split, c):
 
 
 def _columns(n, rows, block):
-    """n-row array holding block on rows and zeros elsewhere: P_S block."""
-    out = np.zeros((n, block.shape[1]), dtype=complex)
+    """n-row array holding block on rows and zeros elsewhere: P_S block,
+    Fortran-ordered, the layout the sparse LU's solve reads."""
+    out = np.zeros((n, block.shape[1]), dtype=complex, order="F")
     out[rows] = block
     return out
 
@@ -111,17 +118,22 @@ def smooth_random_field(grid, seed, n_bumps=6):
     refinement comparisons of the boundary identity meaningful.
     """
     rng = np.random.default_rng(seed)
-    axes = grid.positions.T
     R = grid.spec.truncation_radius
+    ctr = np.empty((n_bumps, grid.dimension))
+    wid = np.empty(n_bumps)
+    amp = np.empty(n_bumps, dtype=complex)
+    for b in range(n_bumps):            # the draws, bump by bump
+        ctr[b] = rng.uniform(-0.7 * R, 0.7 * R, size=grid.dimension)
+        wid[b] = rng.uniform(0.2 * R, 0.5 * R)
+        amp[b] = rng.standard_normal() + 1j * rng.standard_normal()
+    axes = grid.positions.T
+    d2 = (axes[0] - ctr[:, 0, None]) ** 2   # summed axis by axis, in order
+    for a in range(1, grid.dimension):
+        d2 += (axes[a] - ctr[:, a, None]) ** 2
+    bumps = amp[:, None] * np.exp(-d2 / (2.0 * wid * wid)[:, None])
     out = np.zeros(grid.n_nodes, dtype=complex)
-    for _ in range(n_bumps):
-        ctr = rng.uniform(-0.7 * R, 0.7 * R, size=grid.dimension)
-        wid = rng.uniform(0.2 * R, 0.5 * R)
-        amp = rng.standard_normal() + 1j * rng.standard_normal()
-        d2 = (axes[0] - ctr[0]) ** 2    # summed axis by axis, in axis order
-        for x, x0 in zip(axes[1:], ctr[1:]):
-            d2 += (x - x0) ** 2
-        out += amp * np.exp(-d2 / (2.0 * wid * wid))
+    for bump in bumps:                  # added to the sum in draw order
+        out += bump
     return out
 
 
@@ -133,11 +145,18 @@ def resolvent_difference_svd(op_full, op_split, shift=None, k=10):
 
     V is boundary rank: V = X M X^H with X = (H_split + c)^-1 P_S and the
     |S| x |S| Hermitian M of the module docstring, so one sparse LU and |S|
-    solves give X, and with the thin QR X = Q R the singular values of V are
-    the absolute eigenvalues of the |S| x |S| core R M R^H.  rank V <= |S|:
-    values past it are exact zeros.  Returns (the min(k, n) leading singular
-    values, shift used).  Supply shift to reuse one (H1) shift across a
-    refinement pair.
+    solves give X.  With the Gram matrix X^H X = U Lambda U^H, X is
+    Q Lambda^1/2 U^H for some Q with orthonormal columns, so the singular
+    values of V are the absolute eigenvalues of the |S| x |S| core
+    Lambda^1/2 U^H M U Lambda^1/2.  That core carries the same rounding,
+    of order u ||X||^2 ||M||, as R M R^H from a thin QR X = Q R, and costs
+    one matrix product where the QR costs a Householder factorisation.  An
+    eigendecomposition, unlike a Cholesky factorisation of X^H X, cannot
+    fail when a shift close to -lambda_min(H_split) leaves X^H X singular
+    to working precision; its eigenvalues below 0 are rounding and are
+    taken as 0.  rank V <= |S|: values past it are exact zeros.  Returns
+    (the min(k, n) leading singular values, shift used).  Supply shift to
+    reuse one (H1) shift across a refinement pair.
     """
     if not np.array_equal(op_full.nodes, op_split.nodes):
         raise ValueError("operators act on different node sets")
@@ -148,8 +167,9 @@ def resolvent_difference_svd(op_full, op_split, shift=None, k=10):
     sv = np.zeros(min(k, op_full.n))
     if x is None:
         x = solve(_columns(op_split.n, support, np.eye(len(support))))
-    r = np.linalg.qr(x, mode="r")
-    top = np.sort(np.abs(np.linalg.eigvalsh(r @ core @ r.conj().T)))[::-1]
+    lam, u = np.linalg.eigh(x.conj().T @ x)
+    w = u * np.sqrt(np.maximum(lam, 0.0))      # U Lambda^1/2
+    top = np.sort(np.abs(np.linalg.eigvalsh(w.conj().T @ core @ w)))[::-1]
     sv[:len(top)] = top[:len(sv)]
     return sv, c
 

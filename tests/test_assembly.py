@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -332,3 +333,101 @@ def test_load_rejects_foreign_header(tmp_path):
     path.write_text("some other format\n1 1 1\n0 0 1.0 0.0\n")
     with pytest.raises(ValueError):
         load_coordinate(path)
+
+
+# ── Pinned matrices ────────────────────────────────────────────────────────
+
+
+def _digest(*arrays):
+    """sha256 prefix over each array's dtype and bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.dtype.str.encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+_PIN_GRIDS = {
+    "2d-box": (DomainSpec(2, 1.5, "box"), 0.25, FieldSpec.constant(1.0)),
+    "2d-disk": (DomainSpec(2, 1.6, "disk"), 0.2,
+                FieldSpec.radial_decay(0.8, 1.0)),
+    "2d-box-box": (DomainSpec(2, 2.0, "box",
+                              BoxObstacle((0.25, 0.0), (0.5, 0.75))),
+                   0.25, FieldSpec.constant(0.9)),
+    "2d-disk-disk": (DomainSpec(2, 2.5, "disk",
+                                DiskObstacle((0.0, 0.3), 1.0)),
+                     0.25, FieldSpec.radial_decay(1.2, 2.0)),
+    "3d-box": (DomainSpec(3, 1.0, "box"), 0.25, FieldSpec.constant(1.0, 3)),
+    "3d-box-box": (DomainSpec(3, 1.25, "box",
+                              BoxObstacle((0.0, 0.0, 0.25), (0.5,) * 3)),
+                   0.25, FieldSpec.constant(0.7, 3)),
+    "3d-disk-disk": (DomainSpec(3, 1.5, "disk",
+                                DiskObstacle((0.0, 0.0, 0.0), 0.6)),
+                     0.3, FieldSpec.radial_growth(0.5, 1.0, 3)),
+}
+
+# assemble's region, gamma and boundary, or a direct sum of the omega and
+# obstacle operators with that gamma and boundary
+_PIN_CASES = {
+    "full": ("full", 0.0, "robin"),
+    "omega-robin": ("omega", 0.5, "robin"),
+    "obstacle-robin": ("obstacle", -0.7, "robin"),
+    "omega-dirichlet": ("omega", 0.0, "dirichlet"),
+    "obstacle-dirichlet": ("obstacle", 0.0, "dirichlet"),
+    "sum-robin": ("direct_sum", 0.5, "robin"),
+    "sum-dirichlet": ("direct_sum", 0.0, "dirichlet"),
+}
+
+# digests of (data, indices, indptr) as assembled through
+# coo_matrix(...).tocsr(), which sums duplicates and sorts each row
+_PINNED_MATRICES = {
+    "2d-box:full": "203c4b11407b5b77",
+    "2d-disk:full": "b4f13fb8badd4e5a",
+    "2d-box-box:full": "35b35f087af883bd",
+    "2d-box-box:omega-robin": "81d6d574db2be8a5",
+    "2d-box-box:obstacle-robin": "aaef7e78aa66505b",
+    "2d-box-box:omega-dirichlet": "027753d61d413117",
+    "2d-box-box:obstacle-dirichlet": "f0d7b73f560c05fe",
+    "2d-box-box:sum-robin": "7e114f6085605ddf",
+    "2d-box-box:sum-dirichlet": "f604095937429006",
+    "2d-disk-disk:full": "4e56606bdb792e73",
+    "2d-disk-disk:omega-robin": "687ec8d8a0feac0e",
+    "2d-disk-disk:obstacle-robin": "bddb7f298ca77703",
+    "2d-disk-disk:omega-dirichlet": "44ed6b49e3c417d8",
+    "2d-disk-disk:obstacle-dirichlet": "64bdfca2ed17485b",
+    "2d-disk-disk:sum-robin": "77a76bc41836318a",
+    "2d-disk-disk:sum-dirichlet": "2d75e2a3374e6b8d",
+    "3d-box:full": "5175645a3f003ca5",
+    "3d-box-box:full": "23fc597d08ac33ae",
+    "3d-box-box:omega-robin": "fd686aabaed4fbf7",
+    "3d-box-box:obstacle-robin": "6a8f09f6caa49641",
+    "3d-box-box:omega-dirichlet": "c2885d6d8f320513",
+    "3d-box-box:obstacle-dirichlet": "818afd5b98960b33",
+    "3d-box-box:sum-robin": "f4fc690228ddbb1b",
+    "3d-box-box:sum-dirichlet": "ade245893f9bba5f",
+    "3d-disk-disk:full": "a56c7061c2206481",
+    "3d-disk-disk:omega-robin": "2aa41f4fd13ea918",
+    "3d-disk-disk:obstacle-robin": "80dc87c876578586",
+    "3d-disk-disk:omega-dirichlet": "e7cab968c22014fb",
+    "3d-disk-disk:obstacle-dirichlet": "9dac853193b70f4e",
+    "3d-disk-disk:sum-robin": "6dbe990d8f100250",
+    "3d-disk-disk:sum-dirichlet": "759f2f2af19f836b",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_MATRICES))
+def test_assembled_matrices_are_pinned(key):
+    grid_key, case = key.split(":")
+    spec, h, field_spec = _PIN_GRIDS[grid_key]
+    g = build_grid(spec, h)
+    ph = link_phases(g, field_spec)
+    region, gamma, boundary = _PIN_CASES[case]
+    if region == "direct_sum":
+        op = direct_sum(*(assemble(g, ph, side, gamma, boundary)
+                          for side in ("omega", "obstacle")))
+    else:
+        op = assemble(g, ph, region, gamma, boundary)
+    m = op.mat
+    assert m.format == "csr" and m.dtype == complex
+    assert m.has_canonical_format
+    assert _digest(m.data, m.indices, m.indptr) == _PINNED_MATRICES[key]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import pickle
 
 import numpy as np
@@ -122,6 +123,25 @@ def test_random_field_is_function_of_position():
         assert fc[i] == ff[j]
 
 
+# the fields as drawn and summed bump by bump: six (centre, width,
+# amplitude) draws per field, each bump added to the running sum in order
+_PINNED_FIELDS = {
+    (2, 11): "dc5e2be977fcce13",
+    (2, 12): "d516a92ed4846c20",
+    (3, 11): "f867112dca2b728a",
+    (3, 12): "53f2928d6a612264",
+}
+
+
+@pytest.mark.parametrize("dimension, seed", sorted(_PINNED_FIELDS))
+def test_random_field_is_pinned(dimension, seed):
+    spec = (DomainSpec(2, 2.0, "disk", DiskObstacle((0.5, 0.0), 0.75))
+            if dimension == 2 else DomainSpec(3, 1.0, "box"))
+    f = smooth_random_field(build_grid(spec, 0.25), seed)
+    digest = hashlib.sha256(f.dtype.str.encode() + f.tobytes()).hexdigest()
+    assert digest[:16] == _PINNED_FIELDS[dimension, seed]
+
+
 # ── Resolvent difference probe ─────────────────────────────────────────────
 
 
@@ -191,6 +211,30 @@ def test_resolvent_svd_zeros_past_boundary_rank():
     assert len(resolvent_difference_svd(full, split, shift=1.0, k=50)[0]) == n
     same, _ = resolvent_difference_svd(full, full, shift=1.0, k=3)
     assert np.all(same == 0.0) and len(same) == 3
+
+
+def test_resolvent_svd_survives_a_near_singular_gram():
+    # a caller's shift 1e-7 above -lambda_min(H_split) makes X = A^-1 P_S
+    # one huge column direction: X^H X is singular to working precision,
+    # where a Cholesky factorisation of it may break down; the
+    # eigendecomposition must not, and the leading value stays accurate
+    spec = DomainSpec(2, 1.75, "box", BoxObstacle((0.0, 0.0), (0.5, 0.5)))
+    g = build_grid(spec, 0.25)
+    ph = link_phases(g, FieldSpec.constant(1.0))
+    full = assemble(g, ph, region="full")
+    split = direct_sum(assemble(g, ph, region="omega", gamma=0.5),
+                       assemble(g, ph, region="obstacle", gamma=0.5))
+    c = -np.linalg.eigvalsh(split.dense())[0] + 1e-7
+    eye = np.eye(split.n)
+    a_inv = np.linalg.inv(split.dense() + c * eye)
+    support = np.nonzero(np.any(full.dense() != split.dense(), axis=1))[0]
+    x = a_inv[:, support]
+    gram = np.linalg.eigvalsh(x.conj().T @ x)
+    assert gram[0] <= 1e-14 * gram[-1]
+    sv, shift = resolvent_difference_svd(full, split, shift=c, k=5)
+    assert shift == c and np.all(np.isfinite(sv))
+    want = sla.svdvals(a_inv - np.linalg.inv(full.dense() + c * eye))
+    assert sv[0] == pytest.approx(want[0], rel=1e-6)
 
 
 def test_resolvent_svd_above_dense_limit():
