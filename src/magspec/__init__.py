@@ -8,13 +8,11 @@ from .geometry import (
     DiskObstacle,
     DomainSpec,
     MaskedGrid,
-    boundary_measure,
     build_grid,
 )
 from .fields import (
     FieldSpec,
     LinkPhases,
-    field_matrix,
     link_phase,
     link_phases,
     plaquette_sums,
@@ -22,7 +20,6 @@ from .fields import (
 )
 from .assembly import (
     HermitianOperator,
-    apply_form,
     assemble,
     direct_sum,
     export_coordinate,

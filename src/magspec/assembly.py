@@ -5,9 +5,9 @@ entries scale like 1/h**2, and the discrete L2 pairing carries the cell
 volume:  <u, v> = h**d * sum(conj(u) * v).  With that convention,
 
     h**d * Re(u^H H u)  =  sum_edges |u_j exp(-i theta) - u_i|^2 h^(d-2)
-                         + sum_faces gamma_eff |u_node|^2 h^(d-1),
+                         + sum_faces gamma_eff |u_node|^2 h^(d-1).
 
-which apply_form evaluates.  Per region:
+Per region:
 
 * "omega"     exterior nodes; edges into the obstacle are dropped (natural
               boundary condition) and each inner face adds +gamma/h to the
@@ -47,21 +47,21 @@ class HermitianOperator:
 
     mat    csr_matrix, complex128, exactly Hermitian
     nodes  row -> grid node index (identity for full-grid operators)
-    meta   h, gamma, boundary, region, field, domain, dimension
+    meta   h, dimension, gamma, boundary, field, domain of an assembled
+           operator; direct_sum refuses summands that differ in the first
+           four
 
     rotation  row -> row of its node turned by x -> (-x2, x1) in the plane
               of axes 0 and 1, or None; assemble records it when the region
               is closed under the turn, and eigs_window solves one rotation
               sector at a time when H commutes with it.
 
-    An operator is not modified after assembly: build a new one (shifted,
-    dataclasses.replace, from_matrix) instead of rebinding or editing mat.
-    One rule holds for what an operator carries besides mat, nodes, region
-    and meta: a copy keeps what is checked against its mat on every use and
-    drops what is not.  So shifted and dataclasses.replace keep rotation,
-    which _rotation_sectors refuses unless it has n rows and commutes with
-    mat; from_matrix and direct_sum have none.  Every copy starts without
-    the two caches, and equality ignores all three:
+    An operator is not modified after assembly: build a new one
+    (dataclasses.replace, from_matrix) instead of rebinding or editing mat.
+    One copy rule holds: dataclasses.replace keeps rotation, which
+    _rotation_sectors refuses unless it has n rows and commutes with mat,
+    and drops the two caches; from_matrix and direct_sum have no rotation.
+    Equality ignores all three:
 
     _lu      on the split operator of a resolvent probe pair: the sparse
              LU of H + cI for the last shift c the probes used, with the
@@ -90,33 +90,14 @@ class HermitianOperator:
     def n(self):
         return self.mat.shape[0]
 
-    @property
-    def h(self):
-        return self.meta.get("h")
-
-    @property
-    def dimension(self):
-        return self.meta.get("dimension")
-
     def dense(self):
         return self.mat.toarray()
 
-    def shifted(self, c):
-        """Operator plus c times the identity (same bookkeeping)."""
-        out = HermitianOperator(
-            (self.mat + c * sp.identity(self.n, dtype=complex, format="csr")).tocsr(),
-            self.nodes, self.region, dict(self.meta), rotation=self.rotation)
-        out.meta["shift"] = self.meta.get("shift", 0.0) + c
-        return out
-
     @staticmethod
-    def from_matrix(mat, h=1.0, dimension=1, region="full", meta=None):
-        """Wrap an explicit Hermitian matrix (tests, model problems)."""
+    def from_matrix(mat):
+        """Wrap an explicit Hermitian matrix as a full-grid operator."""
         m = sp.csr_matrix(mat, dtype=complex)
-        base = {"h": float(h), "dimension": dimension}
-        if meta:
-            base.update(meta)
-        return HermitianOperator(m, np.arange(m.shape[0]), region, base)
+        return HermitianOperator(m, np.arange(m.shape[0]), "full")
 
 
 # ── Assembly ───────────────────────────────────────────────────────────────
@@ -198,7 +179,6 @@ def assemble(grid, phases, region="omega", gamma=0.0, boundary="robin"):
         "dimension": d,
         "gamma": gamma,
         "boundary": boundary,
-        "region": region,
         "field": phases.field,
         "domain": grid.spec,
     }
@@ -224,10 +204,9 @@ def _csr(rows, cols, vals, n):
 def _quarter_turn(grid, nodes, row_of):
     """Row of each node's image under x -> (-x2, x1), or None when an image
     is not a node of the region."""
-    coords = grid.coords[nodes]
-    turned = coords.copy()
-    turned[:, 0], turned[:, 1] = -coords[:, 1], coords[:, 0]
-    image = grid.node_at(turned)
+    # the index box is centred and square in axes 0 and 1, so turning it
+    # back by a quarter puts at each node the index of the node's image
+    image = np.rot90(grid._index, -1, axes=(0, 1))[grid._index >= 0][nodes]
     rows = row_of[image]
     return None if np.any(image < 0) or np.any(rows < 0) else rows
 
@@ -259,20 +238,8 @@ def direct_sum(op_omega, op_obstacle):
         vals.append(m.data)
     mat = _csr(np.concatenate(rows), np.concatenate(cols),
                np.concatenate(vals), len(nodes))
-    meta = dict(op_omega.meta)
-    meta["region"] = "direct_sum"
-    return HermitianOperator(mat, nodes[order], "direct_sum", meta)
-
-
-# ── Quadratic form ─────────────────────────────────────────────────────────
-
-
-def apply_form(op, u):
-    """Value of the discrete quadratic form: h**d * Re(u^H H u)."""
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (op.n,):
-        raise ValueError(f"vector has shape {u.shape}, operator has size {op.n}")
-    return op.h ** op.dimension * float(np.real(np.vdot(u, op.mat @ u)))
+    return HermitianOperator(mat, nodes[order], "direct_sum",
+                             dict(op_omega.meta))
 
 
 # ── Coordinate text export ─────────────────────────────────────────────────

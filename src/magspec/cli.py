@@ -13,14 +13,15 @@ a ladder or compare, ``diff_bound`` and ``compare.*`` keys need a compare,
 and an obstacle's or field's sub-keys need the kind that reads them.
 ``validate`` also refuses what ``run`` would refuse before or after the
 solve: ``h`` or ``tol`` not finite and positive, ``cap`` below 1, a
-``delta`` wide enough for two level buckets to overlap, a ladder or compare
-without a window, ``radii`` that are empty, not finite and positive, or not
-strictly increasing, and a negative ``diff_bound``.
+negative ``seed``, a ``delta`` wide enough for two level buckets to
+overlap, a ladder or compare without a window, ``radii`` that are empty,
+not finite and positive, or not strictly increasing, and a negative
+``diff_bound``.
 
 ``run`` writes results.json, eigenvalues.csv (the run, a ladder's last rung,
 or a compare's side A last rung) and, for ladder/compare experiments,
 ladder.csv, all deterministic for a fixed config and seed; ``--jobs`` takes
-only 1, and goes when ROADMAP item 8 drops ``--jobs 1`` from the perfbench
+only 1, and goes when ROADMAP item 11 drops ``--jobs 1`` from the perfbench
 workloads.  ``--export-matrix`` writes the operator of a spectrum run and is
 refused on a ladder or compare, before anything is solved.  Exit codes:
 0 success or PASS verdict, 2 FAIL verdict, 3 inconclusive, 1 error.
@@ -390,7 +391,7 @@ def main(argv=None):
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     p_run.add_argument("--jobs", type=int, default=1, choices=(1,),
-                       help="only 1; goes when ROADMAP item 8 drops "
+                       help="only 1; goes when ROADMAP item 11 drops "
                             "--jobs 1 from the perfbench workloads")
     p_run.add_argument("--export-matrix", default=None, metavar="PATH",
                        help="also export the assembled operator "

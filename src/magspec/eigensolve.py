@@ -790,10 +790,13 @@ def _lowest_sliced(op, k, tol, seed, return_vectors):
                    f"lowest-{k} below {s:.6g}", keep=k)
 
 
-def _check_tol(tol):
+def _check_knobs(tol, seed):
     # a residual can never reach a tol <= 0, so every restart would be spent
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+    # numpy refuses a negative seed only at the first slice, after its LU
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 def eigs_lowest(op, k, tol=1e-8, seed=0, method="lanczos",
@@ -813,7 +816,7 @@ def eigs_lowest(op, k, tol=1e-8, seed=0, method="lanczos",
     """
     if k < 1 or k > op.n:
         raise ValueError(f"k must be in 1..{op.n}, got {k}")
-    _check_tol(tol)
+    _check_knobs(tol, seed)
     if method not in ("lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
     if method == "dense":
@@ -843,7 +846,7 @@ def eigs_window(op, a, b, tol=1e-8, cap=2000, seed=0, method="lanczos",
         raise ValueError(f"empty window: [{a}, {b}]")
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    _check_tol(tol)
+    _check_knobs(tol, seed)
     if method not in ("lanczos", "dense"):
         raise ValueError(f"unknown method {method!r}")
     pad = _EDGE_PAD * _ledger(op).scale

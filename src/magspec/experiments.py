@@ -67,6 +67,8 @@ class RunConfig:
             raise ValueError(f"cap must be positive, got {self.cap}")
         if self.k < 1:
             raise ValueError("k must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (np.isfinite(self.delta) and self.delta > 0):
             raise ValueError("delta must be positive")
         if self.window is not None:
@@ -172,7 +174,7 @@ class LadderRun:
 def run_ladder(cfg, radii, jobs=1):
     """The same experiment at strictly increasing truncation radii, solved
     rung after rung in this process.  jobs takes only 1, and goes when
-    ROADMAP item 8 drops ``jobs=1`` from the perfbench workloads.  Bad jobs,
+    ROADMAP item 11 drops ``jobs=1`` from the perfbench workloads.  Bad jobs,
     radii or window raise ValueError before any operator is built."""
     if jobs != 1:
         raise ValueError(f"jobs must be 1, got {jobs}")

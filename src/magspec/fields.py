@@ -78,14 +78,6 @@ class FieldSpec:
         expo = -0.5 * self.p if self.kind == "radial_decay" else 0.5 * self.p
         return self.b0 * (1.0 + r2) ** expo
 
-    def limit_strength(self):
-        """Strength in the limit |x| -> infinity (inf for growing fields)."""
-        if self.kind == "constant":
-            return abs(self.b)
-        if self.kind == "radial_decay":
-            return 0.0
-        return float("inf")
-
 
 def _axial_r2(x):
     """Squared distance from the origin (2D) or from the third axis (3D)."""
@@ -115,7 +107,7 @@ def _azimuthal_profile(spec, r2):
     return spec.b0 * out
 
 
-# ── Gauge potential and strength matrix ────────────────────────────────────
+# ── Gauge potential ────────────────────────────────────────────────────────
 
 
 def vector_potential(field, x):
@@ -135,24 +127,6 @@ def vector_potential(field, x):
     a[..., 0] = -f * x[..., 1]
     a[..., 1] = f * x[..., 0]
     return a
-
-
-def field_matrix(field, x):
-    """Antisymmetric strength matrix B[k, j] at points x; (..., d) -> (..., d, d).
-
-    Exact derivative of vector_potential: for the azimuthal gauge the only
-    independent entry is B[1, 0] = 2 f(r) + r f'(r), which telescopes back to
-    the pointwise strength.
-    """
-    x = np.asarray(x, dtype=float)
-    d = field.dimension
-    if x.shape[-1] != d:
-        raise ValueError(f"points have {x.shape[-1]} components, field has dimension {d}")
-    s = field.strength(x)
-    mat = np.zeros(x.shape[:-1] + (d, d))
-    mat[..., 0, 1] = -s
-    mat[..., 1, 0] = s
-    return mat
 
 
 # ── Link phases ────────────────────────────────────────────────────────────
@@ -215,8 +189,9 @@ def link_phases(grid, field):
     return LinkPhases(grid, field, theta)
 
 
-def plaquette_sums(grid, phases, plane=(0, 1)):
-    """Oriented phase sums around all complete unit plaquettes in a plane.
+def plaquette_sums(grid, phases):
+    """Oriented phase sums around all complete unit plaquettes in the plane
+    of axes 0 and 1.
 
     Returns (corner_nodes, sums): for each lattice square whose four corners
     and four edges are all kept, the sum  theta_bottom + theta_right -
@@ -225,24 +200,22 @@ def plaquette_sums(grid, phases, plane=(0, 1)):
     """
     if phases.grid is not grid:
         raise ValueError("phases were built for a different grid")
-    a, b = plane
     # per node, the position in grid.edges[axis] of the edge that starts
-    # there, or -1
+    # there, or -1, for axes 0 (x) and 1 (y)
     first = []
-    for ax in (a, b):
-        i_idx, _ = grid.edges[ax]
+    for i_idx, _ in grid.edges[:2]:
         pos = np.full(grid.n_nodes, -1, dtype=np.int64)
         pos[i_idx] = np.arange(len(i_idx))
         first.append(pos)
-    first_a, first_b = first
-    corners = np.nonzero((first_a >= 0) & (first_b >= 0))[0]
-    bottom, left = first_a[corners], first_b[corners]
-    # the other two edges: along b from the right corner, along a from the
+    first_x, first_y = first
+    corners = np.nonzero((first_x >= 0) & (first_y >= 0))[0]
+    bottom, left = first_x[corners], first_y[corners]
+    # the other two edges: along y from the right corner, along x from the
     # upper corner
-    right = first_b[grid.edges[a][1][bottom]]
-    top = first_a[grid.edges[b][1][left]]
+    right = first_y[grid.edges[0][1][bottom]]
+    top = first_x[grid.edges[1][1][left]]
     ok = (right >= 0) & (top >= 0)
-    theta_a, theta_b = phases.theta[a], phases.theta[b]
-    sums = (theta_a[bottom[ok]] + theta_b[right[ok]] - theta_a[top[ok]]
-            - theta_b[left[ok]])
+    theta_x, theta_y = phases.theta[0], phases.theta[1]
+    sums = (theta_x[bottom[ok]] + theta_y[right[ok]] - theta_x[top[ok]]
+            - theta_y[left[ok]])
     return corners[ok], sums

@@ -200,9 +200,6 @@ class MaskedGrid:
         idx = np.where(inside, self._index[tuple(np.moveaxis(q, -1, 0))], -1)
         return int(idx) if idx.ndim == 0 else idx
 
-    def n_edges(self):
-        return sum(len(i) for i, _ in self.edges)
-
 
 def _window_mask(spec, pos):
     if spec.truncation_shape == "box":
@@ -309,22 +306,3 @@ def _collect_outer_faces(n, edges):
     sign = np.concatenate(sign)
     order = np.lexsort((sign, axis, node))
     return FaceSet(node=node[order], axis=axis[order], sign=sign[order])
-
-
-# ── Boundary measure ───────────────────────────────────────────────────────
-
-
-def boundary_measure(grid, which="inner"):
-    """Staircase surface measure: face count times h^(d-1).
-
-    The inner measure converges to the taxicab perimeter of the obstacle
-    (8r for a disk of radius r in 2D), not the Euclidean one; an axis-aligned
-    box whose sides bisect lattice cells is measured exactly.
-    """
-    if which == "inner":
-        count = len(grid.inner_faces)
-    elif which == "outer":
-        count = len(grid.outer_faces)
-    else:
-        raise ValueError(f"which must be 'inner' or 'outer', got {which!r}")
-    return count * grid.h ** (grid.dimension - 1)

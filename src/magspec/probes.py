@@ -39,26 +39,22 @@ from .eigensolve import NonConvergence, _count, eigs_lowest, shifted_solver
 # ── Shift policy ───────────────────────────────────────────────────────────
 
 
-def hermitian_shift(*ops, margin=1.0):
+def hermitian_shift(*ops):
     """Common positive shift c with every op + cI strictly positive.
 
-    c = max(0, -min lambda_min) + margin, computed once from the supplied
+    c = max(0, -min lambda_min) + 1, computed once from the supplied
     operators and meant to be reused verbatim across a refinement pair so
-    resolvent quantities stay comparable.  margin must be finite and
-    positive, or H + cI could be singular.  An operator whose inertia count
-    at 0 is 0 is nonnegative, so it cannot set the maximum and its lowest
-    eigenvalue is not computed.  The count at 0 is recorded in the
-    operator's ledger like every other eigensolve count, so on an operator
-    that counts at least 1 there, eigs_lowest's bracket starts at 0 and
-    takes no further count when that census is small.  Raises
-    NonConvergence, carrying the result, when a lowest eigenvalue is not
-    certified.
+    resolvent quantities stay comparable.  The margin of 1 keeps H + cI
+    away from singular.  An operator whose inertia count at 0 is 0 is
+    nonnegative, so it cannot set the maximum and its lowest eigenvalue is
+    not computed.  The count at 0 is recorded in the operator's ledger like
+    every other eigensolve count, so on an operator that counts at least 1
+    there, eigs_lowest's bracket starts at 0 and takes no further count
+    when that census is small.  Raises NonConvergence, carrying the result,
+    when a lowest eigenvalue is not certified.
     """
     if len(ops) == 0:
         raise ValueError("need at least one operator")
-    margin = float(margin)
-    if not (np.isfinite(margin) and margin > 0.0):
-        raise ValueError(f"margin must be finite and positive, got {margin}")
     lows = []
     for op in [op for op in ops if _count(op, 0.0) != 0]:
         res = eigs_lowest(op, 1, return_vectors=False)
@@ -66,7 +62,7 @@ def hermitian_shift(*ops, margin=1.0):
             raise NonConvergence("lowest eigenvalue not certified: "
                                  f"{res.info.message}", partial=res)
         lows.append(float(res.eigenvalues[0]))
-    return max(0.0, -min(lows, default=0.0)) + margin
+    return max(0.0, -min(lows, default=0.0)) + 1.0
 
 
 def _update(op_full, op_split, c):
@@ -110,8 +106,8 @@ def _columns(n, rows, block):
 # ── Test fields ────────────────────────────────────────────────────────────
 
 
-def smooth_random_field(grid, seed, n_bumps=6):
-    """Seeded sum of complex Gaussian bumps sampled on the grid nodes.
+def smooth_random_field(grid, seed):
+    """Seeded sum of six complex Gaussian bumps sampled on the grid nodes.
 
     The bumps are functions of position, not of node index, so refining the
     grid samples the same underlying function; that is what makes
@@ -119,10 +115,10 @@ def smooth_random_field(grid, seed, n_bumps=6):
     """
     rng = np.random.default_rng(seed)
     R = grid.spec.truncation_radius
-    ctr = np.empty((n_bumps, grid.dimension))
-    wid = np.empty(n_bumps)
-    amp = np.empty(n_bumps, dtype=complex)
-    for b in range(n_bumps):            # the draws, bump by bump
+    ctr = np.empty((6, grid.dimension))
+    wid = np.empty(6)
+    amp = np.empty(6, dtype=complex)
+    for b in range(6):                  # the draws, bump by bump
         ctr[b] = rng.uniform(-0.7 * R, 0.7 * R, size=grid.dimension)
         wid[b] = rng.uniform(0.2 * R, 0.5 * R)
         amp[b] = rng.standard_normal() + 1j * rng.standard_normal()

@@ -150,15 +150,14 @@ def check_delta(model, delta):
         raise ValueError("delta too wide: bucket intervals would overlap")
 
 
-def cluster_report(evs, model, delta, window, certified=None):
+def cluster_report(evs, model, delta, window):
     """Bucket eigenvalues near model levels; everything else is off-cluster.
 
-    evs may be a SpectrumResult (certification is inherited unless
-    overridden) or any array of eigenvalues.
+    evs may be a SpectrumResult, whose certification the report inherits,
+    or any array of eigenvalues, which counts as certified.
     """
     vals = getattr(evs, "eigenvalues", evs)
-    if certified is None:
-        certified = bool(getattr(evs, "certified", True))
+    certified = bool(getattr(evs, "certified", True))
     vals = np.asarray(vals, dtype=float)
     a, b = float(window[0]), float(window[1])
     if not b >= a:

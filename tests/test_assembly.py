@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from magspec.assembly import (HermitianOperator, apply_form, assemble,
-                              direct_sum, export_coordinate, load_coordinate)
+from magspec.assembly import (HermitianOperator, assemble, direct_sum,
+                              export_coordinate, load_coordinate)
 from magspec.fields import FieldSpec, link_phases
 from magspec.geometry import (OMEGA, BoxObstacle, DiskObstacle, DomainSpec,
                               build_grid)
@@ -91,7 +91,9 @@ def test_form_matches_oracle(region, gamma):
     rng = np.random.default_rng(11)
     u_full = rng.normal(size=g.n_nodes) + 1j * rng.normal(size=g.n_nodes)
     want = _form_oracle(g, ph, region, gamma, u_full)
-    assert apply_form(op, u_full[op.nodes]) == pytest.approx(want, rel=1e-12)
+    u = u_full[op.nodes]
+    form = g.h**2 * np.real(np.vdot(u, op.mat @ u))
+    assert form == pytest.approx(want, rel=1e-12)
 
 
 def test_form_nonnegative_without_gamma():
@@ -101,7 +103,7 @@ def test_form_nonnegative_without_gamma():
     rng = np.random.default_rng(3)
     for _ in range(5):
         u = rng.normal(size=op.n) + 1j * rng.normal(size=op.n)
-        assert apply_form(op, u) > 0.0
+        assert g.h**2 * np.real(np.vdot(u, op.mat @ u)) > 0.0
 
 
 # ── Zero-field closed form ─────────────────────────────────────────────────
@@ -241,41 +243,41 @@ def test_direct_sum_validation():
         direct_sum(om, ob2)
 
 
-def test_apply_form_shape_check():
-    g = _free_grid()
-    op = assemble(g, link_phases(g, FieldSpec.constant(0.0)), region="full")
-    with pytest.raises(ValueError):
-        apply_form(op, np.zeros(op.n + 1))
+@pytest.mark.parametrize("omega_boundary,obstacle_boundary",
+                         [("robin", "dirichlet"), ("dirichlet", "robin")])
+def test_direct_sum_refuses_mixed_boundaries(omega_boundary,
+                                             obstacle_boundary):
+    # a Robin summand with gamma = 0 and a Dirichlet one agree on gamma but
+    # not on the condition at the obstacle boundary
+    g = _obstacle_grid()
+    ph = link_phases(g, FieldSpec.constant(1.0))
+    om = assemble(g, ph, region="omega", boundary=omega_boundary)
+    ob = assemble(g, ph, region="obstacle", boundary=obstacle_boundary)
+    with pytest.raises(ValueError, match="'boundary'"):
+        direct_sum(om, ob)
 
 
-# ── Shift and wrap helpers ─────────────────────────────────────────────────
-
-
-def test_shifted_adds_identity():
-    g = _free_grid()
-    op = assemble(g, link_phases(g, FieldSpec.constant(1.0)), region="full")
-    sh = op.shifted(2.5)
-    assert np.allclose((sh.mat - op.mat).toarray(), 2.5 * np.eye(op.n))
-    assert sh.meta["shift"] == 2.5
-    assert sh.shifted(-1.0).meta["shift"] == 1.5
+# ── Wrapping a matrix ──────────────────────────────────────────────────────
 
 
 def test_from_matrix_wrap():
     m = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    op = HermitianOperator.from_matrix(m, h=0.5, dimension=1)
+    op = HermitianOperator.from_matrix(m)
     assert op.n == 2
-    assert op.h == 0.5
+    assert op.region == "full" and op.meta == {}
     assert np.array_equal(op.nodes, [0, 1])
+    assert np.array_equal(op.dense(), m)
 
 
 # ── The quarter turn ───────────────────────────────────────────────────────
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_quarter_turn_is_recorded(d):
+@pytest.mark.parametrize("shape", ["box", "disk"])
+def test_quarter_turn_is_recorded(shape, d):
     # row r's node, turned by x -> (-x2, x1), is row rotation[r]'s node, in
     # every region of a grid closed under the turn
-    g = build_grid(DomainSpec(d, 2.0, "box", DiskObstacle((0.0,) * d, 0.8)),
+    g = build_grid(DomainSpec(d, 2.0, shape, DiskObstacle((0.0,) * d, 0.8)),
                    0.4)
     ph = link_phases(g, FieldSpec.constant(1.0, d))
     for region, gamma in (("omega", 0.5), ("obstacle", 0.5), ("full", 0.0)):
@@ -297,7 +299,6 @@ def test_quarter_turn_kept_only_with_its_matrix():
     op = assemble(g, ph, region="omega", gamma=0.5)
     ob = assemble(g, ph, region="obstacle", gamma=0.5)
     assert op.rotation is not None and ob.rotation is not None
-    assert op.shifted(2.0).rotation is op.rotation
     assert dataclasses.replace(op).rotation is op.rotation
     assert dataclasses.replace(op, mat=2 * op.mat).rotation is op.rotation
     assert dataclasses.replace(op, rotation=None).rotation is None

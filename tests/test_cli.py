@@ -236,6 +236,7 @@ def test_validate_refuses_keys_the_kind_ignores(tmp_path, capsys, text, unread):
     ("experiment = compare\nradii = 4.4 4.0\n", "strictly increasing"),
     ("experiment = compare\nradii = 3 4\ndiff_bound = -1\n",
      "diff_bound must be non-negative"),
+    ("seed = -1\n", "seed must be non-negative"),
 ])
 def test_validate_refuses_values_that_run_refuses(tmp_path, capsys, text, why):
     assert main(["validate", _cfgfile(tmp_path, text)]) == 1
@@ -282,6 +283,26 @@ def test_validate_bad_config(tmp_path, capsys):
 
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/x.cfg"]) == 1
+
+
+@pytest.mark.parametrize("text,flags", [
+    (SMALL_SPECTRUM + "seed = -1\n", []),
+    (SMALL_SPECTRUM, ["--seed", "-5"]),
+], ids=["config", "flag"])
+def test_run_refuses_a_negative_seed(tmp_path, capsys, monkeypatch, text,
+                                     flags):
+    # numpy refuses a negative seed only at the first slice, after an LU
+    # and without naming the key: the config refuses it before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing the seed")
+
+    monkeypatch.setattr(cli, "run_spectrum", no_solve)
+    outdir = tmp_path / "out"
+    assert main(["run", _cfgfile(tmp_path, text), "--out", str(outdir),
+                 *flags]) == 1
+    out = capsys.readouterr()
+    assert "seed" in out.err and out.out == ""
+    assert not outdir.exists()
 
 
 def test_landau_stdout(capsys):

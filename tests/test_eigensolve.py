@@ -17,7 +17,7 @@ from magspec.geometry import BoxObstacle, DiskObstacle, DomainSpec, build_grid
 
 def _chain(n, h=1.0):
     m = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)) / h**2
-    return HermitianOperator.from_matrix(m, h=h, dimension=1)
+    return HermitianOperator.from_matrix(m)
 
 
 def _random_herm(n, seed):
@@ -273,6 +273,21 @@ def test_bad_tol_is_refused_before_factorising(monkeypatch, method, tol):
         eigs_lowest(op, 5, tol=tol, method=method)
     with pytest.raises(ValueError, match="tol"):
         eigs_window(op, 0.0, 3.0, tol=tol, method=method)
+
+
+@pytest.mark.parametrize("method", ["lanczos", "dense"])
+def test_bad_seed_is_refused_before_factorising(monkeypatch, method):
+    # numpy refuses a negative seed only when the first slice draws its
+    # start vector, after that slice's factorisation
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factorised before checking seed")
+
+    monkeypatch.setattr(eigensolve, "_factor", no_factor)
+    op = _lattice_op(h=0.3)
+    with pytest.raises(ValueError, match="seed"):
+        eigs_lowest(op, 5, seed=-1, method=method)
+    with pytest.raises(ValueError, match="seed"):
+        eigs_window(op, 0.0, 3.0, seed=-1, method=method)
 
 
 def test_nonconvergence_carries_partial():
@@ -759,8 +774,7 @@ def test_copies_start_with_an_empty_ledger():
     assert list(counts) == sorted(counts)
     assert counts[0] == 0 and counts[-1] == omega.n and len(counts) > 2
     copy = dataclasses.replace(omega)
-    for fresh in (copy, omega.shifted(1.0),
-                  HermitianOperator.from_matrix(omega.mat),
+    for fresh in (copy, HermitianOperator.from_matrix(omega.mat),
                   direct_sum(omega, obstacle)):
         assert fresh._ledger is None
     assert omega == copy and omega._ledger is not None
@@ -837,7 +851,7 @@ def _chain_pair(N):
     chain = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(N, N))
     eye = sp.identity(N)
     kron_sum = sp.kron(chain, eye) + sp.kron(eye, chain)
-    op = HermitianOperator.from_matrix(kron_sum, dimension=2)
+    op = HermitianOperator.from_matrix(kron_sum)
     return op, 2.0 - 2.0 * np.cos(np.arange(1, N + 1) * np.pi / (N + 1))
 
 

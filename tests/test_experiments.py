@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -171,8 +172,8 @@ def _ladder_from_counts(counts_per_radius, radii=(4.0, 6.0), certified=True,
         vals = np.concatenate([np.full(c, lev)
                                for c, lev in zip(counts, levels)]) \
             if any(counts) else np.empty(0)
-        reps.append(cluster_report(vals, model, 0.2, (0.0, 4.0),
-                                   certified=certified))
+        reps.append(dataclasses.replace(
+            cluster_report(vals, model, 0.2, (0.0, 4.0)), certified=certified))
     return ladder_report(radii, reps)
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from magspec.fields import (FieldSpec, field_matrix, link_phase, link_phases,
-                            plaquette_sums, vector_potential)
+from magspec.fields import (FieldSpec, link_phase, link_phases, plaquette_sums,
+                            vector_potential)
 from magspec.geometry import DiskObstacle, DomainSpec, build_grid
 
 
@@ -26,12 +26,6 @@ def test_radial_strength_values():
     assert dec.strength(p) == pytest.approx(3.0 / 5.0)
     assert grow.strength(p) == pytest.approx(3.0 * np.sqrt(5.0))
     assert dec.strength(np.zeros(2)) == pytest.approx(3.0)
-
-
-def test_limit_strength():
-    assert FieldSpec.constant(-2.0).limit_strength() == 2.0
-    assert FieldSpec.radial_decay(1.0, 2.0).limit_strength() == 0.0
-    assert FieldSpec.radial_growth(1.0, 2.0).limit_strength() == np.inf
 
 
 def test_field_validation():
@@ -101,23 +95,18 @@ def _curl_fd(spec, x, eps=1e-6):
     FieldSpec.radial_growth(0.5, 2.0),
 ])
 def test_field_matrix_is_curl_of_potential(spec):
+    # B[1, 0] = +strength, the module's sign convention
     for x in ([0.4, -0.9], [2.0, 1.5], [0.0, 3.0]):
-        mat = field_matrix(spec, np.asarray(x))
-        assert mat[1, 0] == pytest.approx(_curl_fd(spec, x), rel=2e-8, abs=1e-8)
-        assert mat[0, 1] == -mat[1, 0]
-    assert mat.shape == (2, 2)
+        assert spec.strength(np.asarray(x)) == pytest.approx(
+            _curl_fd(spec, x), rel=2e-8, abs=1e-8)
 
 
 def test_field_matrix_3d_structure():
+    # B[1, 0] = -B[0, 1] = strength is the only entry, and a field along
+    # the third axis does not depend on x3
     spec = FieldSpec.constant(0.7, dimension=3)
-    mat = field_matrix(spec, np.array([0.2, -0.1, 5.0]))
-    want = np.zeros((3, 3))
-    want[0, 1], want[1, 0] = -0.7, 0.7
-    assert np.allclose(mat, want)
-    # field along the third axis does not depend on x3
-    s1 = spec.strength(np.array([0.2, -0.1, 5.0]))
-    s2 = spec.strength(np.array([0.2, -0.1, -8.0]))
-    assert s1 == s2
+    assert spec.strength(np.array([0.2, -0.1, 5.0])) == 0.7
+    assert spec.strength(np.array([0.2, -0.1, -8.0])) == 0.7
 
 
 # ── Link phases ────────────────────────────────────────────────────────────

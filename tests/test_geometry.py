@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from magspec.geometry import (OBSTACLE, OMEGA, BoxObstacle, DiskObstacle,
-                              DomainSpec, boundary_measure, build_grid)
+                              DomainSpec, build_grid)
 
 
 # ── Worked examples ────────────────────────────────────────────────────────
@@ -15,9 +15,8 @@ def test_three_by_three_free_grid():
     got = sorted(map(tuple, g.positions))
     want = sorted((x, y) for x in (-0.5, 0.0, 0.5) for y in (-0.5, 0.0, 0.5))
     assert np.allclose(got, want)
-    assert g.n_edges() == 12
+    assert sum(len(i) for i, _ in g.edges) == 12
     assert len(g.outer_faces) == 12
-    assert boundary_measure(g, "outer") == pytest.approx(6.0)
 
 
 def test_single_node_grid():
@@ -145,7 +144,7 @@ def test_staircase_perimeter_limit():
         spec = DomainSpec(dimension=2, truncation_radius=4.0,
                           obstacle=DiskObstacle((0.0, 0.0), r))
         g = build_grid(spec, h)
-        assert abs(boundary_measure(g, "inner") - 8 * r) <= 8 * h + 1e-9
+        assert abs(len(g.inner_faces) * h - 8 * r) <= 8 * h + 1e-9
 
 
 def test_box_perimeter_exact():
@@ -153,13 +152,13 @@ def test_box_perimeter_exact():
     spec = DomainSpec(dimension=2, truncation_radius=3.0,
                       obstacle=BoxObstacle((0.0, 0.0), (1.0, 1.0)))
     g = build_grid(spec, 0.25)
-    assert boundary_measure(g, "inner") == pytest.approx(4 * (2.0 + 0.25))
+    assert len(g.inner_faces) * 0.25 == pytest.approx(4 * (2.0 + 0.25))
 
 
 def test_outer_measure_3d():
     g = build_grid(DomainSpec(dimension=3, truncation_radius=1.0), 0.5)
     # 3x3x3 block: 6 sides of 9 faces, each h^2 = 0.25
-    assert boundary_measure(g, "outer") == pytest.approx(6 * 9 * 0.25)
+    assert len(g.outer_faces) * 0.5**2 == pytest.approx(6 * 9 * 0.25)
 
 
 # ── Validation ─────────────────────────────────────────────────────────────

@@ -112,9 +112,6 @@ def test_certification_inherited_and_overridable():
     model = EssentialSpectrumModel("landau_set", levels=(1.0,))
     rep = cluster_report(_result([1.0], certified=False), model, 0.1, (0.0, 2.0))
     assert not rep.certified
-    rep2 = cluster_report(_result([1.0], certified=False), model, 0.1,
-                          (0.0, 2.0), certified=True)
-    assert rep2.certified
     rep3 = cluster_report(np.array([1.0]), model, 0.1, (0.0, 2.0))
     assert rep3.certified
 
