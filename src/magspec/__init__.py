@@ -22,8 +22,6 @@ from .assembly import (
     HermitianOperator,
     assemble,
     direct_sum,
-    export_coordinate,
-    load_coordinate,
 )
 from .eigensolve import (
     NonConvergence,

@@ -15,16 +15,19 @@ and an obstacle's or field's sub-keys need the kind that reads them.
 solve: ``h`` or ``tol`` not finite and positive, ``cap`` below 1, a
 negative ``seed``, a ``delta`` wide enough for two level buckets to
 overlap, a ladder or compare without a window, ``radii`` that are empty,
-not finite and positive, or not strictly increasing, and a negative
-``diff_bound``.
+not finite and positive, or not strictly increasing, a negative
+``diff_bound``, a field strength, ``gamma`` or obstacle value that is not
+finite, and an ``obstacle.center`` whose length is not ``dimension``.
 
 ``run`` writes results.json, eigenvalues.csv (the run, a ladder's last rung,
 or a compare's side A last rung) and, for ladder/compare experiments,
 ladder.csv, all deterministic for a fixed config and seed; ``--jobs`` takes
 only 1, and goes when ROADMAP item 11 drops ``--jobs 1`` from the perfbench
-workloads.  ``--export-matrix`` writes the operator of a spectrum run and is
-refused on a ladder or compare, before anything is solved.  Exit codes:
-0 success or PASS verdict, 2 FAIL verdict, 3 inconclusive, 1 error.
+workloads.  ``--export-matrix PATH`` writes the operator of a spectrum run
+to PATH as standard Matrix Market: coordinate, complex Hermitian, the lower
+triangle, 1-based, which ``scipy.io.mmread`` reads back.  It is refused on a
+ladder or compare, before anything is solved.  Exit codes: 0 success or
+PASS verdict, 2 FAIL verdict, 3 inconclusive, 1 error.
 """
 
 import argparse
@@ -34,7 +37,7 @@ import sys
 import time
 from dataclasses import fields, replace
 
-from .assembly import BOUNDARIES, export_coordinate
+from .assembly import BOUNDARIES
 from .eigensolve import NonConvergence, WindowOverflow
 from .experiments import (RunConfig, build_operator, free_twin, ladder_compare,
                           run_ladder, run_spectrum)
@@ -307,8 +310,12 @@ def _cmd_run(args):
         print(f"n={last.n}  k={last.result.k}  "
               f"certified={last.result.certified}  {seconds:.1f}s")
         if args.export_matrix:
+            import scipy.io   # here only: it adds to every start-up
+
             _, _, op = build_operator(cfg)
-            export_coordinate(op, args.export_matrix)
+            # a handle, since mmwrite appends ".mtx" to a bare path
+            with open(args.export_matrix, "wb") as fh:
+                scipy.io.mmwrite(fh, op.mat, symmetry="hermitian")
             print(f"matrix -> {args.export_matrix}")
     elif experiment == "ladder":
         lad = run_ladder(cfg, extras["radii"])
@@ -395,7 +402,7 @@ def main(argv=None):
                             "--jobs 1 from the perfbench workloads")
     p_run.add_argument("--export-matrix", default=None, metavar="PATH",
                        help="also export the assembled operator "
-                            "(coordinate format)")
+                            "(Matrix Market)")
     p_run.set_defaults(fn=_cmd_run)
 
     p_lan = sub.add_parser("landau", help="print the level model for a "

@@ -50,6 +50,8 @@ class RunConfig:
         if self.obstacle is not None and not isinstance(
                 self.obstacle, (DiskObstacle, BoxObstacle)):
             raise TypeError("obstacle must be DiskObstacle, BoxObstacle or None")
+        if not np.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma}")
         if self.obstacle is None and self.gamma != 0.0:
             raise ValueError("gamma without an obstacle has no boundary to act on")
         if self.boundary not in BOUNDARIES:
@@ -79,6 +81,7 @@ class RunConfig:
             # the delta that cluster_report would refuse after the solve
             check_delta(model_for_field(self.fieldspec, cutoff=float(b)),
                         self.delta)
+        self.domain()   # what the domain refuses, such as a centre's length
 
     def as_dict(self):
         """Every field as plain data, the way results.json echoes it: the
@@ -89,23 +92,22 @@ class RunConfig:
             out["obstacle"]["kind"] = self.obstacle.kind
         return out
 
-    def domain(self, radius=None):
+    def domain(self):
         return DomainSpec(
             dimension=self.dimension,
-            truncation_radius=float(self.truncation_radius if radius is None
-                                    else radius),
+            truncation_radius=float(self.truncation_radius),
             truncation_shape=self.truncation_shape,
             obstacle=self.obstacle,
         )
 
 
-def build_operator(cfg, radius=None):
+def build_operator(cfg):
     """Grid, link phases, and assembled operator for a config.
 
     Free space assembles the full-grid operator; with an obstacle present the
     omega-region operator with the configured Robin data is built.
     """
-    grid = build_grid(cfg.domain(radius), cfg.h)
+    grid = build_grid(cfg.domain(), cfg.h)
     phases = link_phases(grid, cfg.fieldspec)
     if cfg.obstacle is None:
         op = assemble(grid, phases, region="full")
@@ -140,9 +142,9 @@ class SpectrumRun:
         return out
 
 
-def run_spectrum(cfg, radius=None):
+def run_spectrum(cfg):
     """Solve one rung: window census when cfg.window is set, else lowest-k."""
-    _, _, op = build_operator(cfg, radius)
+    _, _, op = build_operator(cfg)
     if cfg.window is not None:
         a, b = cfg.window
         result = eigs_window(op, a, b, tol=cfg.tol, cap=cfg.cap, seed=cfg.seed)
@@ -152,8 +154,7 @@ def run_spectrum(cfg, radius=None):
         result = eigs_lowest(op, cfg.k, tol=cfg.tol, seed=cfg.seed,
                              return_vectors=False)
         report = None
-    rad = float(cfg.truncation_radius if radius is None else radius)
-    return SpectrumRun(rad, op.n, result, report)
+    return SpectrumRun(float(cfg.truncation_radius), op.n, result, report)
 
 
 # ── Ladders ────────────────────────────────────────────────────────────────
@@ -181,7 +182,7 @@ def run_ladder(cfg, radii, jobs=1):
     if cfg.window is None:
         raise ValueError("ladders need a window config for cluster reports")
     radii = check_radii(radii)
-    rungs = [run_spectrum(cfg, r) for r in radii]
+    rungs = [run_spectrum(replace(cfg, truncation_radius=r)) for r in radii]
     rep = ladder_report(radii, [r.report for r in rungs])
     return LadderRun(rungs, rep)
 

@@ -51,6 +51,10 @@ class FieldSpec:
             raise ValueError(f"field kind must be one of {KINDS}, got {self.kind!r}")
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
+        for name in ("b", "b0", "p"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"field.{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.kind != "constant":
             if self.b0 < 0:
                 raise ValueError(f"radial field scale b0 must be nonnegative, got {self.b0}")

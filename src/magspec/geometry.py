@@ -7,12 +7,13 @@ or to the compact obstacle ("obstacle").  The window boundary itself carries a
 Dirichlet condition realized by node exclusion, so the node set contains only
 strict-interior lattice points q*h.
 
-Faces separate a kept node from a differently-tagged neighbor:
-
-* inner faces sit between an omega node and an obstacle node; their normal
-  points from the exterior region into the obstacle,
-* outer faces sit between a kept node and an excluded position beyond the
-  truncation window.
+Inner faces sit between an omega node and an obstacle node; their normal
+points from the exterior region into the obstacle.  No table lists the faces
+on the window boundary: every lattice point strictly inside the window is a
+node, so each of a node's 2d neighbour slots that holds no edge looks across
+that boundary.  Assembly therefore starts every row from 2d slots, and sums
+their 1/h**2 weights one after another, as edge-by-edge assembly would,
+since the product 2d/h**2 can round differently (assembly module docstring).
 
 Node order is lexicographic in the integer coordinates, which makes every
 derived structure (edges, faces, assembled operators) reproducible bit for bit.
@@ -33,6 +34,13 @@ TRUNCATION_SHAPES = ("box", "disk")
 # ── Domain description ─────────────────────────────────────────────────────
 
 
+def _finite_center(center):
+    center = tuple(float(c) for c in center)
+    if not all(np.isfinite(center)):
+        raise ValueError(f"obstacle.center must be finite, got {center}")
+    return center
+
+
 @dataclass(frozen=True)
 class DiskObstacle:
     """Closed ball: points with |x - center| <= radius."""
@@ -42,9 +50,10 @@ class DiskObstacle:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not self.radius > 0:
-            raise ValueError(f"disk obstacle radius must be positive, got {self.radius}")
+        object.__setattr__(self, "center", _finite_center(self.center))
+        if not (np.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"obstacle.radius must be finite and positive, "
+                             f"got {self.radius}")
 
     def contains(self, pos):
         d2 = np.sum((pos - np.asarray(self.center)) ** 2, axis=-1)
@@ -70,12 +79,13 @@ class BoxObstacle:
     halfwidths: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        object.__setattr__(self, "center", _finite_center(self.center))
         object.__setattr__(self, "halfwidths", tuple(float(w) for w in self.halfwidths))
         if len(self.center) != len(self.halfwidths):
             raise ValueError("obstacle center and halfwidths must have equal length")
-        if not all(w > 0 for w in self.halfwidths):
-            raise ValueError(f"box obstacle halfwidths must be positive, got {self.halfwidths}")
+        if not all(np.isfinite(w) and w > 0 for w in self.halfwidths):
+            raise ValueError(f"obstacle.halfwidths must be finite and positive, "
+                             f"got {self.halfwidths}")
 
     def contains(self, pos):
         off = np.abs(pos - np.asarray(self.center))
@@ -114,8 +124,9 @@ class DomainSpec:
     def __post_init__(self):
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
-        if not self.truncation_radius > 0:
-            raise ValueError(f"truncation_radius must be positive, got {self.truncation_radius}")
+        if not (np.isfinite(self.truncation_radius) and self.truncation_radius > 0):
+            raise ValueError(f"truncation_radius must be finite and positive, "
+                             f"got {self.truncation_radius}")
         if self.truncation_shape not in TRUNCATION_SHAPES:
             raise ValueError(f"truncation_shape must be 'box' or 'disk', got {self.truncation_shape!r}")
         if self.obstacle is not None:
@@ -123,7 +134,7 @@ class DomainSpec:
                 raise ValueError(f"unsupported obstacle type {type(self.obstacle).__name__}")
             n = len(self.obstacle.center)
             if n != self.dimension:
-                raise ValueError(f"obstacle center has {n} components for dimension {self.dimension}")
+                raise ValueError(f"obstacle.center has {n} components for dimension {self.dimension}")
 
     def clearance(self):
         """Distance from the obstacle to the truncation boundary (inf if no obstacle)."""
@@ -140,13 +151,13 @@ class DomainSpec:
 
 @dataclass
 class FaceSet:
-    """Arrays describing one family of faces, aligned index-for-index."""
+    """The inner faces of a grid as arrays aligned index for index."""
 
-    node: np.ndarray        # region-side node (omega side for inner faces)
+    node: np.ndarray        # omega-side node
     axis: np.ndarray        # lattice axis of the face normal
     sign: np.ndarray        # +1/-1: neighbor sits at node + sign*e_axis
-    neighbor: np.ndarray = None   # obstacle-side node (inner faces only)
-    edge_pos: np.ndarray = None   # index into grid.edges[axis] (inner faces only)
+    neighbor: np.ndarray    # obstacle-side node
+    edge_pos: np.ndarray    # index into grid.edges[axis]
 
     def __len__(self):
         return len(self.node)
@@ -167,7 +178,6 @@ class MaskedGrid:
     region: np.ndarray
     edges: list
     inner_faces: FaceSet
-    outer_faces: FaceSet
     _index: np.ndarray = field(repr=False, default=None)
     _origin: np.ndarray = field(repr=False, default=None)
 
@@ -266,8 +276,7 @@ def build_grid(spec, h):
         edges.append((i_idx[keep], j_idx[keep]))
 
     inner_faces = _collect_inner_faces(region, edges, d)
-    outer_faces = _collect_outer_faces(n, edges)
-    return MaskedGrid(spec, float(h), coords, region, edges, inner_faces, outer_faces,
+    return MaskedGrid(spec, float(h), coords, region, edges, inner_faces,
                       _index=index, _origin=origin)
 
 
@@ -290,19 +299,3 @@ def _collect_inner_faces(region, edges, d):
                    sign=np.concatenate(sign), neighbor=np.concatenate(neighbor),
                    edge_pos=np.concatenate(edge_pos))
 
-
-def _collect_outer_faces(n, edges):
-    # every lattice point strictly inside the window is a node: a node lacks
-    # its neighbour at +e_a (-e_a) when no edge along a starts (ends) there
-    node, axis, sign = [], [], []
-    for a, ends in enumerate(edges):
-        for s, end in zip((1, -1), ends):
-            lone = np.setdiff1d(np.arange(n), end, assume_unique=True)
-            node.append(lone)
-            axis.append(np.full(len(lone), a, dtype=np.int8))
-            sign.append(np.full(len(lone), s, dtype=np.int8))
-    node = np.concatenate(node)
-    axis = np.concatenate(axis)
-    sign = np.concatenate(sign)
-    order = np.lexsort((sign, axis, node))
-    return FaceSet(node=node[order], axis=axis[order], sign=sign[order])

@@ -8,6 +8,7 @@ on a single core.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,8 +229,8 @@ def test_criterion_6_decaying_field():
     cfg = RunConfig(truncation_radius=8.0, truncation_shape="disk",
                     fieldspec=FieldSpec.radial_decay(1.0, 2.0, 2), h=0.25,
                     window=None, k=5, tol=1e-8, seed=0)
-    lam1 = [float(run_spectrum(cfg, radius=R).result.eigenvalues[0])
-            for R in (8.0, 16.0, 24.0)]
+    lam1 = [float(run_spectrum(replace(cfg, truncation_radius=R))
+                  .result.eigenvalues[0]) for R in (8.0, 16.0, 24.0)]
     mono = all(b <= a + 1e-12 for a, b in zip(lam1, lam1[1:]))
     dt = time.perf_counter() - t0
     ok = mono and lam1[-1] < 0.05 and dt < 300.0
@@ -262,8 +263,8 @@ def test_criterion_7_growing_field(tmp_path):
     cfg = RunConfig(truncation_radius=8.0, truncation_shape="disk",
                     fieldspec=FieldSpec.radial_growth(1.0, 2.0, 2), h=0.15,
                     window=None, k=10, tol=1e-8, seed=0)
-    e8 = run_spectrum(cfg, radius=8.0).result.eigenvalues
-    e16 = run_spectrum(cfg, radius=16.0).result.eigenvalues
+    e8 = run_spectrum(cfg).result.eigenvalues
+    e16 = run_spectrum(replace(cfg, truncation_radius=16.0)).result.eigenvalues
     rel = float(np.max(np.abs(e16 - e8) / np.abs(e8)))
 
     ctl = tmp_path / "control.cfg"

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from magspec.assembly import (HermitianOperator, assemble, direct_sum,
-                              export_coordinate, load_coordinate)
+from magspec.assembly import HermitianOperator, assemble, direct_sum
 from magspec.fields import FieldSpec, link_phases
 from magspec.geometry import (OMEGA, BoxObstacle, DiskObstacle, DomainSpec,
                               build_grid)
@@ -68,10 +67,12 @@ def _form_oracle(grid, phases, region, gamma, u_full):
             i, j = i_idx[k], j_idx[k]
             if inr[i] and inr[j]:
                 acc += abs(u_full[j] * np.exp(-1j * phases.theta[a][k]) - u_full[i]) ** 2
-    of = grid.outer_faces
-    for t in range(len(of)):
-        if inr[of.node[t]]:
-            acc += abs(u_full[of.node[t]]) ** 2
+    # Dirichlet window: each of a node's 2d slots without an edge
+    deg = sum(np.bincount(ends, minlength=grid.n_nodes)
+              for pair in grid.edges for ends in pair)
+    for i in range(grid.n_nodes):
+        if inr[i]:
+            acc += (2 * d - deg[i]) * abs(u_full[i]) ** 2
     acc *= h ** (d - 2)
     if region != "full":
         nf = grid.inner_faces
@@ -316,26 +317,6 @@ def test_no_quarter_turn_without_a_closed_region(obstacle):
     assert assemble(g, ph, region="full").rotation is not None
 
 
-# ── Coordinate text round trip ─────────────────────────────────────────────
-
-
-def test_export_load_round_trip(tmp_path):
-    g = _obstacle_grid(0.3)
-    ph = link_phases(g, FieldSpec.constant(1.1))
-    op = assemble(g, ph, region="omega", gamma=0.25)
-    path = tmp_path / "op.coo"
-    export_coordinate(op, path)
-    back = load_coordinate(path)
-    assert (back - op.mat).nnz == 0
-
-
-def test_load_rejects_foreign_header(tmp_path):
-    path = tmp_path / "bad.coo"
-    path.write_text("some other format\n1 1 1\n0 0 1.0 0.0\n")
-    with pytest.raises(ValueError):
-        load_coordinate(path)
-
-
 # ── Pinned matrices ────────────────────────────────────────────────────────
 
 
@@ -365,6 +346,17 @@ _PIN_GRIDS = {
     "3d-disk-disk": (DomainSpec(3, 1.5, "disk",
                                 DiskObstacle((0.0, 0.0, 0.0), 0.6)),
                      0.3, FieldSpec.radial_growth(0.5, 1.0, 3)),
+    # spacings at which six additions of 1/h**2 differ from 6/h**2
+    "3d-box-h0.3": (DomainSpec(3, 1.2, "box"), 0.3,
+                    FieldSpec.constant(1.0, 3)),
+    "3d-box-box-h0.3": (DomainSpec(3, 1.8, "box",
+                                   BoxObstacle((0.0, 0.0, 0.3), (0.6,) * 3)),
+                        0.3, FieldSpec.constant(0.7, 3)),
+    "3d-box-h0.35": (DomainSpec(3, 1.4, "box"), 0.35,
+                     FieldSpec.constant(1.0, 3)),
+    "3d-box-box-h0.35": (DomainSpec(3, 2.0, "box",
+                                    BoxObstacle((0.0, 0.35, 0.0), (0.7,) * 3)),
+                         0.35, FieldSpec.radial_growth(0.5, 1.0, 3)),
 }
 
 # assemble's region, gamma and boundary, or a direct sum of the omega and
@@ -413,6 +405,16 @@ _PINNED_MATRICES = {
     "3d-disk-disk:obstacle-dirichlet": "9dac853193b70f4e",
     "3d-disk-disk:sum-robin": "6dbe990d8f100250",
     "3d-disk-disk:sum-dirichlet": "759f2f2af19f836b",
+    "3d-box-h0.3:full": "e42ddd90c9d36633",
+    "3d-box-box-h0.3:omega-robin": "de751deec5a92468",
+    "3d-box-box-h0.3:obstacle-robin": "976047bd1d9c7cbc",
+    "3d-box-box-h0.3:omega-dirichlet": "127ec6d8b6f8b3b2",
+    "3d-box-box-h0.3:obstacle-dirichlet": "b9134598b20a144e",
+    "3d-box-h0.35:full": "b51fcab9b86c57f4",
+    "3d-box-box-h0.35:omega-robin": "3692b03272690754",
+    "3d-box-box-h0.35:obstacle-robin": "e2a00d94323f0acb",
+    "3d-box-box-h0.35:omega-dirichlet": "1b762d6d61892e51",
+    "3d-box-box-h0.35:obstacle-dirichlet": "3d342be0600f64f7",
 }
 
 

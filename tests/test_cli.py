@@ -7,12 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sp
 
 import conftest
 
 from magspec import cli
-from magspec.assembly import load_coordinate
 from magspec.cli import ConfigError, build_configs, main, parse_config
 from magspec.experiments import RunConfig, build_operator
 
@@ -237,10 +237,28 @@ def test_validate_refuses_keys_the_kind_ignores(tmp_path, capsys, text, unread):
     ("experiment = compare\nradii = 3 4\ndiff_bound = -1\n",
      "diff_bound must be non-negative"),
     ("seed = -1\n", "seed must be non-negative"),
+    ("obstacle = disk\nobstacle.radius = 1\nobstacle.center = nan 0\n",
+     "obstacle.center must be finite"),
+    ("obstacle = disk\nobstacle.radius = 1\nobstacle.center = 0 0 0\n",
+     "obstacle.center has 3 components for dimension 2"),
+    ("obstacle = disk\nobstacle.radius = inf\n",
+     "obstacle.radius must be finite and positive"),
+    ("obstacle = box\nobstacle.halfwidths = 1 inf\n",
+     "obstacle.halfwidths must be finite and positive"),
+    ("obstacle = disk\nobstacle.radius = 1\ngamma = nan\n",
+     "gamma must be finite"),
+    ("field.b = nan\nwindow = none\n", "field.b must be finite"),
+    ("field = radial_decay\nfield.b0 = inf\n", "field.b0 must be finite"),
+    ("field = radial_growth\nfield.p = inf\n", "field.p must be finite"),
+    ("experiment = compare\nradii = 3 4\ncompare.obstacle = disk\n"
+     "compare.obstacle.radius = 1\ncompare.obstacle.center = 0 nan\n",
+     "obstacle.center must be finite"),
 ])
 def test_validate_refuses_values_that_run_refuses(tmp_path, capsys, text, why):
     assert main(["validate", _cfgfile(tmp_path, text)]) == 1
-    assert why in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert why in err
+    assert "OK" not in out
 
 
 def test_side_b_reads_boundary_only_with_an_obstacle():
@@ -384,10 +402,15 @@ def test_run_export_matrix(tmp_path, capsys):
     mat_path = tmp_path / "op.coo"
     assert main(["run", cfg, "--out", str(outdir),
                  "--export-matrix", str(mat_path)]) == 0
-    back = load_coordinate(mat_path)
+    # at PATH itself: scipy would append ".mtx" to a bare path
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "op.coo", "out", "run.cfg"]
+    assert mat_path.read_text().splitlines()[0] == \
+        "%%MatrixMarket matrix coordinate complex hermitian"
+    back = scipy.io.mmread(mat_path)
     _, cfg_obj, _ = build_configs(parse_config(cfg))
     _, _, op = build_operator(cfg_obj)
-    assert (back - op.mat).nnz == 0
+    assert (sp.csr_matrix(back) - op.mat).nnz == 0
 
 
 @pytest.mark.parametrize("text", [SMALL_LADDER, SMALL_COMPARE],
@@ -508,3 +531,36 @@ def test_run_window_overflow_is_error(tmp_path, capsys):
 def test_run_missing_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "ghost.cfg"),
                  "--out", str(tmp_path)]) == 1
+
+
+# ── Package surface ────────────────────────────────────────────────────────
+
+
+def test_public_surface_is_pinned():
+    import magspec
+
+    assert sorted(magspec.__all__) == [
+        "BoxObstacle", "ClusterReport", "CompareReport", "DiskObstacle",
+        "DomainSpec", "EssentialSpectrumModel", "FieldSpec",
+        "HermitianOperator", "LadderReport", "LinkPhases", "MaskedGrid",
+        "NonConvergence", "OBSTACLE", "OMEGA", "RunConfig", "SolverInfo",
+        "SpectrumResult", "SpectrumRun", "WindowOverflow", "assemble",
+        "assembly", "boundary_identity_check", "build_grid", "build_operator",
+        "cluster_report", "direct_sum", "eigensolve", "eigs_lowest",
+        "eigs_window", "experiments", "fields", "geometry", "hermitian_shift",
+        "inertia_count", "ladder_compare", "landau_levels", "link_phase",
+        "link_phases", "model_for_field", "persistent_levels",
+        "plaquette_sums", "probes", "residual", "resolvent_difference_svd",
+        "run_ladder", "run_spectrum", "smooth_random_field", "spectra",
+        "vector_potential",
+    ]
+
+
+def test_import_leaves_scipy_io_unloaded():
+    # only --export-matrix needs scipy.io, and it costs every start-up
+    got = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, magspec, magspec.cli; "
+         "sys.exit('scipy.io' in sys.modules)"],
+        capture_output=True, text=True, env=conftest.package_env())
+    assert got.returncode == 0, got.stderr

@@ -74,12 +74,15 @@ def test_config_window_normalized():
 
 
 def test_config_domain_radius_override():
+    # a ladder rung is its config with another radius
     cfg = _small_cfg(obstacle=DiskObstacle((0.0, 0.0), 1.0), gamma=0.3)
-    d1 = cfg.domain()
-    d2 = cfg.domain(9.0)
-    assert d1.truncation_radius == 3.5
-    assert d2.truncation_radius == 9.0
-    assert d2.obstacle == cfg.obstacle
+    rung = dataclasses.replace(cfg, truncation_radius=9.0)
+    assert cfg.domain().truncation_radius == 3.5
+    assert rung.domain().truncation_radius == 9.0
+    assert rung.domain().obstacle == cfg.obstacle
+    g0, _, op0 = build_operator(cfg)
+    g, _, op = build_operator(rung)
+    assert g.n_obstacle == g0.n_obstacle > 0 and op.n > op0.n
 
 
 def test_build_operator_region_choice():
@@ -118,7 +121,7 @@ def test_run_spectrum_lowest_mode():
 
 def test_run_spectrum_radius_override():
     cfg = _small_cfg()
-    run = run_spectrum(cfg, radius=4.2)
+    run = run_spectrum(dataclasses.replace(cfg, truncation_radius=4.2))
     assert run.radius == 4.2
     assert run.n > run_spectrum(cfg).n
 

@@ -39,6 +39,18 @@ def test_field_validation():
         FieldSpec.radial_decay(-1.0, 2.0)
 
 
+@pytest.mark.parametrize("build, why", [
+    (lambda: FieldSpec.constant(np.nan), "field.b"),
+    (lambda: FieldSpec.constant(-np.inf, 3), "field.b"),
+    (lambda: FieldSpec.radial_decay(np.inf, 2.0), "field.b0"),
+    (lambda: FieldSpec.radial_growth(1.0, np.inf), "field.p"),
+    (lambda: FieldSpec("constant", 2, b=1.0, p=np.nan), "field.p"),
+], ids=["nan-b", "inf-b", "inf-b0", "inf-p", "nan-p-unread"])
+def test_field_refuses_non_finite_values(build, why):
+    with pytest.raises(ValueError, match=f"{why} must be finite"):
+        build()
+
+
 # ── Azimuthal profile against direct quadrature ────────────────────────────
 
 

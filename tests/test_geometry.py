@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from magspec.assembly import assemble
+from magspec.fields import FieldSpec, link_phases
 from magspec.geometry import (OBSTACLE, OMEGA, BoxObstacle, DiskObstacle,
                               DomainSpec, build_grid)
 
@@ -16,13 +18,14 @@ def test_three_by_three_free_grid():
     want = sorted((x, y) for x in (-0.5, 0.0, 0.5) for y in (-0.5, 0.0, 0.5))
     assert np.allclose(got, want)
     assert sum(len(i) for i, _ in g.edges) == 12
-    assert len(g.outer_faces) == 12
 
 
 def test_single_node_grid():
     g = build_grid(DomainSpec(dimension=2, truncation_radius=0.4), 0.5)
     assert g.n_nodes == 1
-    assert len(g.outer_faces) == 4
+    # all four neighbour slots look across the window
+    op = assemble(g, link_phases(g, FieldSpec.constant(1.0)), region="full")
+    assert np.array_equal(op.dense(), [[4 / 0.5**2]])
 
 
 def test_cell_count_labels():
@@ -74,8 +77,8 @@ def test_partition_into_regions():
 
 
 def _face_oracle(g):
-    """Independent enumeration of inner and outer faces from node lookups."""
-    inner, outer = set(), set()
+    """Independent enumeration of the inner faces from node lookups."""
+    inner = set()
     d = g.dimension
     for idx in range(g.n_nodes):
         c = g.coords[idx]
@@ -84,41 +87,30 @@ def _face_oracle(g):
                 q = c.copy()
                 q[axis] += sgn
                 nb = g.node_at(tuple(q))
-                if nb < 0:
-                    outer.add((idx, axis, sgn))
-                elif g.region[idx] == OMEGA and g.region[nb] == OBSTACLE:
+                if nb >= 0 and g.region[idx] == OMEGA \
+                        and g.region[nb] == OBSTACLE:
                     inner.add((idx, nb, axis, sgn))
-    return inner, outer
+    return inner
 
 
 def test_faces_match_bruteforce():
     spec = DomainSpec(dimension=2, truncation_radius=2.6,
                       obstacle=DiskObstacle((0.0, 0.0), 1.1))
     g = build_grid(spec, 0.22)
-    inner, outer = _face_oracle(g)
     fc = g.inner_faces
-    got_inner = {(int(fc.node[t]), int(fc.neighbor[t]), int(fc.axis[t]),
-                  int(fc.sign[t])) for t in range(len(fc))}
-    assert got_inner == inner
-    of = g.outer_faces
-    got_outer = {(int(of.node[t]), int(of.axis[t]), int(of.sign[t]))
-                 for t in range(len(of))}
-    assert got_outer == outer
+    got = {(int(fc.node[t]), int(fc.neighbor[t]), int(fc.axis[t]),
+            int(fc.sign[t])) for t in range(len(fc))}
+    assert got == _face_oracle(g)
 
 
 def test_faces_match_bruteforce_3d():
     spec = DomainSpec(dimension=3, truncation_radius=1.5,
                       obstacle=BoxObstacle((0.0, 0.0, 0.0), (0.6, 0.6, 0.6)))
     g = build_grid(spec, 0.3)
-    inner, outer = _face_oracle(g)
     fc = g.inner_faces
-    got_inner = {(int(fc.node[t]), int(fc.neighbor[t]), int(fc.axis[t]),
-                  int(fc.sign[t])) for t in range(len(fc))}
-    assert got_inner == inner
-    of = g.outer_faces
-    got_outer = {(int(of.node[t]), int(of.axis[t]), int(of.sign[t]))
-                 for t in range(len(of))}
-    assert got_outer == outer
+    got = {(int(fc.node[t]), int(fc.neighbor[t]), int(fc.axis[t]),
+            int(fc.sign[t])) for t in range(len(fc))}
+    assert got == _face_oracle(g)
 
 
 def test_inner_face_edge_positions():
@@ -157,8 +149,14 @@ def test_box_perimeter_exact():
 
 def test_outer_measure_3d():
     g = build_grid(DomainSpec(dimension=3, truncation_radius=1.0), 0.5)
-    # 3x3x3 block: 6 sides of 9 faces, each h^2 = 0.25
-    assert len(g.outer_faces) * 0.5**2 == pytest.approx(6 * 9 * 0.25)
+    op = assemble(g, link_phases(g, FieldSpec.constant(0.0, 3)),
+                  region="full")
+    # every node has six slots, each adding 1/h^2 = 4
+    assert np.array_equal(op.mat.diagonal(), np.full(27, 24.0))
+    # a slot without an off-diagonal entry looks across the window:
+    # 3x3x3 block, 6 sides of 9 faces, each h^2 = 0.25
+    lone = 6 * 27 - (op.mat.nnz - 27)
+    assert lone * 0.5**2 == pytest.approx(6 * 9 * 0.25)
 
 
 # ── Validation ─────────────────────────────────────────────────────────────
@@ -184,6 +182,22 @@ def test_rejects_bad_spacing():
         build_grid(spec, 0.0)
     with pytest.raises(ValueError):
         build_grid(spec, float("nan"))
+
+
+@pytest.mark.parametrize("build, why", [
+    (lambda: DiskObstacle((np.nan, 0.0), 1.0), "obstacle.center"),
+    (lambda: DiskObstacle((0.0, np.inf), 1.0), "obstacle.center"),
+    (lambda: DiskObstacle((0.0, 0.0), np.inf), "obstacle.radius"),
+    (lambda: DiskObstacle((0.0, 0.0), np.nan), "obstacle.radius"),
+    (lambda: BoxObstacle((np.nan, 0.0), (1.0, 1.0)), "obstacle.center"),
+    (lambda: BoxObstacle((0.0, 0.0), (1.0, np.inf)), "obstacle.halfwidths"),
+    (lambda: DomainSpec(2, np.inf), "truncation_radius"),
+], ids=["disk-nan-center", "disk-inf-center", "disk-inf-radius",
+        "disk-nan-radius", "box-nan-center", "box-inf-halfwidth",
+        "inf-window"])
+def test_rejects_non_finite_values(build, why):
+    with pytest.raises(ValueError, match=f"{why} must be finite"):
+        build()
 
 
 def test_rejects_bad_dimension():
